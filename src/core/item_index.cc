@@ -58,16 +58,24 @@ std::vector<double> RowSquaredNorms(const tensor::Matrix& m) {
 
 // Assigns every row of `vectors` to its nearest centroid (squared Euclidean,
 // ties to the lowest centroid id) via argmax_j(x·c_j - ||c_j||²/2). The
-// dots come from tensor::Gemm and the per-row argmax writes disjoint slots,
-// so the result is bit-identical at any thread count. `scratch`/`dots` are
-// caller-provided so Lloyd iterations reuse the same storage.
+// dots come from tensor::Gemm against `centroids_t`, the centroids
+// transposed once per pass (dim x nlist), which runs the column-tiled
+// no-transpose kernel; Gemm's transpose-b branch would read the centroids
+// one strided column at a time. Both compute every dot as the same
+// k-ascending float chain from +0.0f. The transpose-b branch skips zero
+// terms where this one adds them as +/-0.0f, which changes no bits because
+// the accumulator can never be -0.0f, so for finite inputs (checkpoint
+// loading rejects non-finite parameters) the two are bit-identical. The
+// per-row argmax writes disjoint slots, so the result is bit-identical at
+// any thread count. `scratch`/`dots` are caller-provided so Lloyd
+// iterations reuse the same storage.
 void AssignNearest(const tensor::Matrix& vectors,
-                   const tensor::Matrix& centroids,
+                   const tensor::Matrix& centroids_t,
                    const std::vector<double>& half_centroid_sqnorms,
                    tensor::Matrix* scratch, tensor::Matrix* dots,
                    std::vector<int>* assignments) {
   const int n = vectors.rows();
-  const int nlist = centroids.rows();
+  const int nlist = centroids_t.cols();
   assignments->resize(static_cast<size_t>(n));
   std::vector<int> chunk_ids;
   for (int begin = 0; begin < n; begin += kAssignChunkRows) {
@@ -76,7 +84,7 @@ void AssignNearest(const tensor::Matrix& vectors,
     chunk_ids.resize(static_cast<size_t>(rows));
     for (int r = 0; r < rows; ++r) chunk_ids[static_cast<size_t>(r)] = begin + r;
     tensor::GatherRowsInto(vectors, chunk_ids, scratch);
-    tensor::Gemm(*scratch, false, centroids, /*transpose_b=*/true, 1.0f, dots);
+    tensor::Gemm(*scratch, false, centroids_t, false, 1.0f, dots);
     int* out = assignments->data() + begin;
     const tensor::Matrix& d = *dots;
     parallel::ParallelFor(0, rows, kArgmaxGrain, [&](int64_t r0, int64_t r1) {
@@ -102,17 +110,21 @@ void AssignNearest(const tensor::Matrix& vectors,
 // k-means++ D² seeding over the rows of `sample`: the first centroid is a
 // uniform draw, each subsequent one is drawn with probability proportional
 // to its squared distance from the nearest chosen centroid. Distances are
-// maintained incrementally with one (rows x 1) Gemm matvec per chosen
-// centroid. All draws come from the single `rng` stream in a fixed order,
-// so seeding is a pure function of (sample, nlist, rng state).
+// maintained incrementally from one dot per sample row and chosen centroid,
+// computed in a streaming pass over the sample transposed once (dim x rows):
+// each transposed row scales into the whole dots vector, so every dot is the
+// k-ascending float chain from +0.0f that AssignNearest's product runs. All
+// draws come from the single `rng` stream in a fixed order, so seeding is a
+// pure function of (sample, nlist, rng state).
 tensor::Matrix SeedCentroids(const tensor::Matrix& sample, int nlist,
                              Rng* rng) {
   const int m = sample.rows();
   const int dim = sample.cols();
   const std::vector<double> sqnorms = RowSquaredNorms(sample);
+  const tensor::Matrix sample_t = tensor::Transpose(sample);
   tensor::Matrix centroids(nlist, dim);
   tensor::Matrix chosen(1, dim);
-  tensor::Matrix dots;
+  std::vector<float> dots(static_cast<size_t>(m));
   std::vector<double> d2(static_cast<size_t>(m), 0.0);
 
   int pick = rng->NextInt(m);
@@ -120,12 +132,17 @@ tensor::Matrix SeedCentroids(const tensor::Matrix& sample, int nlist,
   for (int j = 1; j < nlist; ++j) {
     chosen.SetRow(0, centroids.RowPtr(j - 1));
     const double cnorm = RowSquaredNorms(chosen)[0];
-    tensor::Gemm(sample, false, chosen, /*transpose_b=*/true, 1.0f, &dots);
+    std::fill(dots.begin(), dots.end(), 0.0f);
+    for (int c = 0; c < dim; ++c) {
+      const float w = chosen.At(0, c);
+      const float* column = sample_t.RowPtr(c);
+      float* out = dots.data();
+      for (int i = 0; i < m; ++i) out[i] += w * column[i];
+    }
     double total = 0.0;
     for (int i = 0; i < m; ++i) {
       const size_t si = static_cast<size_t>(i);
-      double dist = sqnorms[si] - 2.0 * static_cast<double>(dots.At(i, 0)) +
-                    cnorm;
+      double dist = sqnorms[si] - 2.0 * static_cast<double>(dots[si]) + cnorm;
       if (dist < 0.0) dist = 0.0;
       d2[si] = (j == 1) ? dist : std::min(d2[si], dist);
       total += d2[si];
@@ -204,21 +221,23 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
 
   index.centroids_ = SeedCentroids(*train, nlist, &rng);
 
+  tensor::Matrix centroids_t;
   tensor::Matrix scratch;
   tensor::Matrix dots;
   std::vector<int> assign;
   std::vector<int> prev_assign;
   for (int iter = 0; iter < config.train_iters; ++iter) {
-    AssignNearest(*train, index.centroids_,
-                  HalfSquaredNorms(index.centroids_), &scratch, &dots,
-                  &assign);
+    tensor::TransposeInto(index.centroids_, &centroids_t);
+    AssignNearest(*train, centroids_t, HalfSquaredNorms(index.centroids_),
+                  &scratch, &dots, &assign);
     if (iter > 0 && assign == prev_assign) break;
     UpdateCentroids(*train, assign, &index.centroids_);
     prev_assign = assign;
   }
 
   // Final pass: assign the full catalog with the trained quantizer.
-  AssignNearest(vectors, index.centroids_, HalfSquaredNorms(index.centroids_),
+  tensor::TransposeInto(index.centroids_, &centroids_t);
+  AssignNearest(vectors, centroids_t, HalfSquaredNorms(index.centroids_),
                 &scratch, &dots, &index.assignments_);
 
   // CSR inverted lists; filling in ascending item order keeps each list's

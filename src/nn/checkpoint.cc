@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -266,6 +267,15 @@ Status DecodeParameters(const std::vector<ParamEntry>& params,
     tensor::Matrix value(static_cast<int>(rows), static_cast<int>(cols));
     if (!record.ReadFloats(value.data(), static_cast<size_t>(value.size())))
       return Status::Error("truncated parameter data for " + name);
+    // A NaN or Inf passes every CRC tier, yet served scores built from it
+    // break the strict weak ordering top-K selection sorts by.
+    for (int e = 0; e < value.size(); ++e) {
+      if (!std::isfinite(value.data()[e])) {
+        return Status::Error(StrFormat(
+            "non-finite value in parameter %s at row %d, col %d",
+            name.c_str(), e / value.cols(), e % value.cols()));
+      }
+    }
     staged.push_back({it->second, std::move(value)});
   }
   if (staged.size() != params.size()) {

@@ -2,7 +2,8 @@
 // across thread counts (race-labelled for the TSan lane), value-version
 // invalidation after real optimizer steps, the structural exact-parity
 // contract (nprobe = nlist bit-identical to kExact), empty/tiny catalogs,
-// and recall@10 against exact top-K on a seeded synthetic world.
+// pinned digests of fixed builds, and recall@10 against exact top-K on a
+// seeded synthetic world.
 
 #include "core/item_index.h"
 
@@ -114,6 +115,76 @@ TEST(ItemIndexRaceTest, BuildIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(index.assignments(), serial.assignments());
     for (int c = 0; c < index.nlist(); ++c)
       ASSERT_EQ(index.ListSize(c), serial.ListSize(c));
+  });
+}
+
+// 64-bit FNV-1a over raw bytes: a compact fingerprint of a build's bits.
+uint64_t Fnv1a(const void* data, size_t len) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Exact +0.0f / -0.0f coordinates (the terms the nearest-centroid GEMM adds
+// as signed zeros) and rows duplicated from earlier ones (tied distances).
+tensor::Matrix ZerosAndDuplicatesTable() {
+  tensor::Matrix m = RandomTable(600, 8, /*seed=*/41);
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.cols(); ++c) {
+      if ((r + c) % 3 == 0) m.At(r, c) = 0.0f;
+      if ((7 * r + c) % 11 == 0) m.At(r, c) = -0.0f;
+    }
+    if (r % 5 == 4) m.SetRow(r, m.RowPtr(r / 2));
+  }
+  return m;
+}
+
+// The centroid and assignment bits of fixed builds, pinned as digests. The
+// list counts cover every shape the nearest-centroid products take: one
+// list (the single-column path), 17 and 40 (runtime-width and 8-wide
+// column tails), 256 (whole 32-wide tiles), and the size rule at 5,000
+// items (282 lists: tiles plus a runtime tail).
+TEST(ItemIndexRaceTest, BuildBitsArePinned) {
+  struct Pinned {
+    const char* name;
+    tensor::Matrix table;
+    ItemIndexConfig config;
+    int nlist;
+    uint64_t centroids;
+    uint64_t assignments;
+  };
+  const std::vector<Pinned> cases = {
+      {"one list", RandomTable(300, 5, 101), {.nlist = 1}, 1,
+       0x8e120971e9b1f9b1ULL, 0x74b4429a2fdd70e5ULL},
+      {"17 lists", RandomTable(1000, 7, 102), {.nlist = 17}, 17,
+       0x5555eafd69c4b6bbULL, 0xd01502eeec79d274ULL},
+      {"256 lists, sampled", RandomTable(4000, 32, 103),
+       {.nlist = 256, .train_sample = 2000}, 256, 0x47a8bcf8b4b9bb9fULL,
+       0x03e0a5cdd32522f8ULL},
+      {"size rule at 5000 items", RandomTable(5000, 16, 104), {}, 282,
+       0x3262128792418e3fULL, 0x7deb3c2a5d4a9ad0ULL},
+      {"zeros and duplicates", ZerosAndDuplicatesTable(), {.nlist = 40}, 40,
+       0x189590d492d81994ULL, 0xe753b6ab73bca00eULL},
+  };
+  AtThreads([&] {
+    for (const Pinned& p : cases) {
+      SCOPED_TRACE(p.name);
+      const ItemIndex index = ItemIndex::Build(p.table, p.config);
+      ASSERT_EQ(index.nlist(), p.nlist);
+      const tensor::Matrix& c = index.centroids();
+      const std::vector<int>& a = index.assignments();
+      const uint64_t centroids =
+          Fnv1a(c.data(), sizeof(float) * static_cast<size_t>(c.size()));
+      const uint64_t assignments = Fnv1a(a.data(), sizeof(int) * a.size());
+      EXPECT_EQ(centroids, p.centroids)
+          << "centroids digest 0x" << std::hex << centroids;
+      EXPECT_EQ(assignments, p.assignments)
+          << "assignments digest 0x" << std::hex << assignments;
+    }
   });
 }
 

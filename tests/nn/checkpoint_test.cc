@@ -2,6 +2,8 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,41 @@ TEST(CheckpointTest, PartialParameterSetLeavesModelUntouched) {
   EXPECT_NE(s.message().find("missing"), std::string::npos);
   // All-or-nothing: even the parameter that WAS in the file is unchanged.
   EXPECT_TRUE(ValuesEqual(one.Parameters(), before));
+}
+
+// A NaN or Inf passes every CRC tier (the writer does not check values), so
+// the decoder must reject it by name. It sits in the last record, after
+// records that decode cleanly, so an eager commit would show.
+TEST(CheckpointTest, NonFiniteValueRejectedAndModelUntouched) {
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (const float bad : kBad) {
+    SCOPED_TRACE(::testing::Message() << "value " << bad);
+    Rng rng(16);
+    Mlp source("m", {3, 4, 2}, &rng);
+    const ParamEntry last = source.Parameters().back();
+    last.tensor->mutable_value().At(0, 1) = bad;
+    const std::string path = TempPath("ckpt_nonfinite.bin");
+    ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
+
+    Rng rng2(17);
+    Mlp dest("m", {3, 4, 2}, &rng2);
+    const std::vector<ParamEntry> params = dest.Parameters();
+    const auto before = SnapshotValues(params);
+    const Status s = LoadParameters(params, path);
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("non-finite value in parameter " + last.name),
+              std::string::npos)
+        << s.message();
+    for (size_t i = 0; i < params.size(); ++i) {
+      const Matrix& live = params[i].tensor->value();
+      EXPECT_EQ(std::memcmp(live.data(), before[i].data(),
+                            sizeof(float) * static_cast<size_t>(live.size())),
+                0)
+          << params[i].name << " changed";
+    }
+  }
 }
 
 TEST(CheckpointTest, GarbageFileRejectedByFileCrc) {

@@ -5,7 +5,9 @@
 #include <string>
 #include <utility>
 
+#include "common/status.h"
 #include "core/test_fixtures.h"
+#include "nn/checkpoint.h"
 #include "serve/server.h"
 
 namespace groupsa::serve::testing {
@@ -23,8 +25,9 @@ inline core::GroupSaConfig SmallConfig() {
 
 // Serving test rig over the tiny world: an in-memory model factory (fixed
 // construction seed, so every generation holds identical parameters and
-// responses are comparable across reloads) plus a same-seed oracle model
-// outside the daemon for parity checks.
+// responses are comparable across reloads; reloading any path but
+// kInMemory loads that checkpoint over the seeded model) plus a same-seed
+// oracle model outside the daemon for parity checks.
 struct ServeRig {
   core::GroupSaConfig config = SmallConfig();
   core::testing::TinyFixture fixture;
@@ -32,6 +35,8 @@ struct ServeRig {
   std::unique_ptr<Server> server;
 
   static constexpr uint64_t kModelSeed = 11;
+  // The checkpoint path that means "the seeded model, nothing loaded".
+  static constexpr const char* kInMemory = "<in-memory>";
 
   explicit ServeRig(const ServeConfig& sc,
                     bool factory_yields_null_model = false) {
@@ -43,17 +48,24 @@ struct ServeRig {
     oracle = fixture.MakeModel(config, kModelSeed);
     Server::ModelFactory factory =
         [this, factory_yields_null_model](
-            const std::string&,
+            const std::string& path,
             std::unique_ptr<core::GroupSaModel>* out) -> Status {
       if (factory_yields_null_model) {
         out->reset();
         return Status::Ok();
       }
-      *out = fixture.MakeModel(config, kModelSeed);
+      std::unique_ptr<core::GroupSaModel> model =
+          fixture.MakeModel(config, kModelSeed);
+      // Any other path names a checkpoint to load over the seeded model.
+      if (path != kInMemory) {
+        GROUPSA_RETURN_IF_ERROR(
+            nn::LoadParameters(model->Parameters(), path));
+      }
+      *out = std::move(model);
       return Status::Ok();
     };
     server = std::make_unique<Server>(
-        sc, std::move(factory), "<in-memory>", fixture.ui.train,
+        sc, std::move(factory), kInMemory, fixture.ui.train,
         fixture.world.dataset.num_users,
         fixture.world.dataset.groups.num_groups(),
         fixture.world.dataset.num_items, &fixture.ui_train,

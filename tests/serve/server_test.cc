@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "nn/checkpoint.h"
 #include "serve/harness.h"
 #include "serve_test_util.h"
 
@@ -202,27 +206,54 @@ TEST_F(ServerTest, ReloadSwapsGenerationWithIdenticalScores) {
   EXPECT_EQ(rig.server->stats().reloads, 1);
 }
 
+// Two failed reloads: an injected build fault, then a CRC-valid checkpoint
+// holding one NaN in the item table. Neither swaps, and the old generation
+// keeps answering byte-identically.
 TEST_F(ServerTest, FailedReloadKeepsTheOldGenerationServing) {
   ServeConfig sc;
   ServeRig rig(sc);
   ASSERT_TRUE(rig.server->Start().ok());
-  ASSERT_TRUE(failpoint::Arm("serve.reload.build=error"));
+  const std::vector<Request> probes =
+      BuildSchedule(rig.Schedule(/*num_requests=*/12, /*seed=*/5));
+  std::vector<Response> before;
+  for (const Request& probe : probes) before.push_back(rig.server->Call(probe));
 
-  const Status s = rig.server->Reload("<in-memory>");
+  ASSERT_TRUE(failpoint::Arm("serve.reload.build=error"));
+  EXPECT_FALSE(rig.server->Reload(ServeRig::kInMemory).ok());
+  failpoint::DisarmAll();
+
+  const auto poisoned =
+      rig.fixture.MakeModel(rig.config, ServeRig::kModelSeed);
+  const std::vector<nn::ParamEntry> params = poisoned->Parameters();
+  const auto item_table =
+      std::find_if(params.begin(), params.end(), [](const nn::ParamEntry& p) {
+        return p.name.find("item_emb") != std::string::npos;
+      });
+  ASSERT_NE(item_table, params.end());
+  item_table->tensor->mutable_value().At(1, 0) =
+      std::numeric_limits<float>::quiet_NaN();
+  const std::string path =
+      std::string(::testing::TempDir()) + "/serve_nan_item.ckpt";
+  ASSERT_TRUE(nn::SaveParameters(params, path).ok());
+  const Status s = rig.server->Reload(path);
   EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("non-finite value in parameter " +
+                             item_table->name),
+            std::string::npos)
+      << s.message();
   EXPECT_EQ(rig.server->generation(), 1u);
 
-  Request request;
-  request.kind = Request::Kind::kUser;
-  request.user = 0;
-  request.k = 2;
-  const Response r = rig.server->Call(request);
-  EXPECT_FALSE(r.degraded);
-  EXPECT_EQ(r.generation, 1u);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const Response r = rig.server->Call(probes[i]);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.generation, 1u);
+    EXPECT_TRUE(BitIdenticalItems(r.items, before[i].items))
+        << FormatRequest(probes[i]);
+  }
   rig.server->Stop();
   const ServerStats stats = rig.server->stats();
   EXPECT_EQ(stats.reloads, 0);
-  EXPECT_EQ(stats.failed_reloads, 1);
+  EXPECT_EQ(stats.failed_reloads, 2);
 }
 
 TEST_F(ServerTest, NullModelGenerationServesPopularityOnly) {

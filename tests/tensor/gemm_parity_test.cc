@@ -101,6 +101,28 @@ TEST(GemmParityTest, ThreadCountInvariance) {
   }
 }
 
+TEST(GemmParityTest, PreTransposedBMatchesTransposeBOnFiniteInputs) {
+  // core::ItemIndex multiplies by centroids transposed once instead of
+  // passing transpose_b, and its pinned digests rely on the two paths
+  // agreeing bit for bit: the same k-ascending chains, with the exact +/-0
+  // terms the transpose-b branch skips added as signed zeros. The widths
+  // cover the n == 1 path, runtime-width and 8-wide tails and 32-wide tiles.
+  Matrix a = RandomMatrix(300, 32, 404);
+  for (int i = 0; i < a.size(); i += 3) a.data()[i] = (i % 2) ? 0.0f : -0.0f;
+  for (int n : {1, 17, 40, 256, 282}) {
+    const Matrix b = RandomMatrix(n, 32, 505);
+    for (int threads : {1, 4}) {
+      parallel::SetGlobalThreads(threads);
+      Matrix strided;
+      Matrix tiled;
+      Gemm(a, false, b, /*transpose_b=*/true, 1.0f, &strided);
+      Gemm(a, false, Transpose(b), false, 1.0f, &tiled);
+      ExpectBitIdentical(strided, tiled);
+    }
+    parallel::SetGlobalThreads(1);
+  }
+}
+
 TEST(GemmParityTest, BelowCutoffStillMatches) {
   // Small products take the serial fast path inside Gemm; parity is trivially
   // required there too.

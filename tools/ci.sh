@@ -20,7 +20,8 @@
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
 #                 from the last good checkpoint)
 #   index         IVF retrieval gates: nprobe=nlist exact-parity (0-ULP vs
-#                 kExact), recall@10 on the seeded world, and the full
+#                 kExact), recall@10 on the seeded world, the pinned
+#                 centroid/assignment digests of fixed builds, and the full
 #                 ItemIndex suite under ASan
 #   quant         kernel-dispatch + int8 gates: backend parity suite, the
 #                 int8 ranking-quality/memory gates, cross-backend training
@@ -35,6 +36,11 @@
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
+#   perfbench     the repo benchmark's own Release project (perfbench/, built
+#                 in .bench_build/perfbench like run.py builds it): its
+#                 measurement unit test and the quick smoke run of every
+#                 workload, traced and untraced, with the parity, digest
+#                 and conservation checks
 #
 # Usage: tools/ci.sh [jobs] [lane ...]     (default: nproc jobs, all lanes)
 
@@ -49,7 +55,7 @@ fi
 LANES=("$@")
 if [ ${#LANES[@]} -eq 0 ]; then
   LANES=(plain lint locks tidy bench serving crash serve-golden index quant
-         chaos asan tsan ubsan)
+         chaos asan tsan ubsan perfbench)
 fi
 
 # Configure a build tree only when its cache does not exist yet, so a lane
@@ -323,6 +329,11 @@ lane_index() {
   # so a drop is a regression, not noise).
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
     -R 'RecallAtTenOnSeededWorld'
+  # Bit gate: fixed builds (1, 17, 40, 256 lists and the size rule at 5,000
+  # items) must reproduce their pinned centroid and assignment digests at 1
+  # and 4 threads, so a faster k-means cannot silently move an index.
+  ctest --test-dir build --output-on-failure -j "${JOBS}" \
+    -R 'BuildBitsArePinned'
   echo "=== index lane (ItemIndex suite under ASan) ==="
   ensure_build build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGROUPSA_SANITIZE=address
@@ -445,6 +456,30 @@ lane_ubsan() {
   ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}"
 }
 
+lane_perfbench() {
+  echo "=== perfbench lane (benchmark tests + quick smoke) ==="
+  # perfbench/ is its own CMake project that compiles ../src, configured in
+  # the tree run.py builds the benchmark in. Its ctest runs
+  # perfbench_measure_test and bench_smoke (every workload with --quick,
+  # traced and untraced; a failed parity, digest or conservation check
+  # fails the run), so a src/ change that breaks the benchmark fails here.
+  if [ ! -f .bench_build/perfbench/CMakeCache.txt ]; then
+    cmake -B .bench_build/perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
+  fi
+  cmake --build .bench_build/perfbench -j "${JOBS}"
+  # perfbench/CMakeLists.txt only warns when GTest or Python is missing;
+  # here a missing test is a failure, not a quiet pass.
+  local listed test
+  listed="$(ctest --test-dir .bench_build/perfbench -N)"
+  for test in perfbench_measure_test bench_smoke; do
+    if ! grep -q ": ${test}\$" <<< "${listed}"; then
+      echo "FAIL: ${test} is not registered in .bench_build/perfbench" >&2
+      exit 1
+    fi
+  done
+  ctest --test-dir .bench_build/perfbench --output-on-failure
+}
+
 for lane in "${LANES[@]}"; do
   case "${lane}" in
     plain) lane_plain ;;
@@ -461,6 +496,7 @@ for lane in "${LANES[@]}"; do
     asan) lane_asan ;;
     tsan) lane_tsan ;;
     ubsan) lane_ubsan ;;
+    perfbench) lane_perfbench ;;
     *)
       echo "unknown lane: ${lane}" >&2
       exit 2
