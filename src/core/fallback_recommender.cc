@@ -50,48 +50,42 @@ FallbackRecommender::Response FallbackRecommender::ServeDegraded(
                  Response::Source::kBypassed);
 }
 
-FallbackRecommender::Response FallbackRecommender::RecommendForUser(
-    data::UserId user, int k, const data::InteractionMatrix* exclude) {
+FallbackRecommender::Response FallbackRecommender::Serve(
+    QueryKind kind, const std::vector<int32_t>& ids, int k,
+    const data::InteractionMatrix* exclude,
+    const std::function<InferenceEngine::Ranking()>& recommend) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (engine_ == nullptr)
-    return Degrade("model unavailable", k, exclude, {user},
+    return Degrade("model unavailable", k, exclude, ids,
                    Response::Source::kNoEngine);
-  Response response;
-  Status s = engine_->RecommendForUser(user, k, exclude, &response.items);
-  if (!s.ok())
-    return Degrade(s.message(), k, exclude, {user},
+  if (Status s = engine_->ValidateRequest(kind, ids, k); !s.ok())
+    return Degrade(s.message(), k, exclude, ids,
                    Response::Source::kEngineError);
+  Response response;
+  response.items = recommend();
   return response;
+}
+
+FallbackRecommender::Response FallbackRecommender::RecommendForUser(
+    data::UserId user, int k, const data::InteractionMatrix* exclude) {
+  return Serve(QueryKind::kUser, {user}, k, exclude, [&] {
+    return engine_->RecommendForUser(user, k, exclude);
+  });
 }
 
 FallbackRecommender::Response FallbackRecommender::RecommendForGroup(
     data::GroupId group, int k, const data::InteractionMatrix* exclude) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (engine_ == nullptr)
-    return Degrade("model unavailable", k, exclude, {group},
-                   Response::Source::kNoEngine);
-  Response response;
-  Status s = engine_->RecommendForGroup(group, k, exclude, &response.items);
-  if (!s.ok())
-    return Degrade(s.message(), k, exclude, {group},
-                   Response::Source::kEngineError);
-  return response;
+  return Serve(QueryKind::kGroup, {group}, k, exclude, [&] {
+    return engine_->RecommendForGroup(group, k, exclude);
+  });
 }
 
 FallbackRecommender::Response FallbackRecommender::RecommendForMembers(
     const std::vector<data::UserId>& members, int k,
     const data::InteractionMatrix* exclude) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (engine_ == nullptr)
-    return Degrade("model unavailable", k, exclude, members,
-                   Response::Source::kNoEngine);
-  Response response;
-  Status s =
-      engine_->RecommendForMembers(members, k, exclude, &response.items);
-  if (!s.ok())
-    return Degrade(s.message(), k, exclude, members,
-                   Response::Source::kEngineError);
-  return response;
+  return Serve(QueryKind::kMembers, members, k, exclude, [&] {
+    return engine_->RecommendForMembers(members, k, exclude);
+  });
 }
 
 }  // namespace groupsa::core

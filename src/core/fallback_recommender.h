@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,6 +106,14 @@ class FallbackRecommender {
   }
 
  private:
+  // The model path of the three entry points: count the request, degrade
+  // when there is no engine or InferenceEngine::ValidateRequest rejects
+  // (`kind`, `ids`, k), otherwise answer through `recommend` — the engine's
+  // unchecked call. `ids` double as the exclude rows on the degraded path.
+  Response Serve(QueryKind kind, const std::vector<int32_t>& ids, int k,
+                 const data::InteractionMatrix* exclude,
+                 const std::function<InferenceEngine::Ranking()>& recommend);
+
   // Serves the popularity ranking with per-row exclude semantics matching
   // the failed model call; `rows` are the entity rows of `exclude` to
   // consult (bounds-guarded — this path must not crash on the very inputs

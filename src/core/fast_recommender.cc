@@ -1,12 +1,7 @@
 #include "core/fast_recommender.h"
 
-#include <algorithm>
-#include <memory>
-
 #include "common/macros.h"
-#include "common/string_util.h"
 #include "core/inference_engine.h"
-#include "core/topk.h"
 
 namespace groupsa::core {
 
@@ -14,134 +9,20 @@ std::vector<double> FastGroupRecommender::ScoreItemsForMembers(
     const std::vector<data::UserId>& members,
     const std::vector<data::ItemId>& items) const {
   GROUPSA_CHECK(!members.empty(), "fast recommender needs members");
-  const std::vector<std::vector<double>> per_member =
-      model_->MemberItemScores(members, items);
-  std::vector<double> averaged(items.size(), 0.0);
-  for (const auto& member_scores : per_member) {
-    for (size_t i = 0; i < items.size(); ++i)
-      averaged[i] += member_scores[i];
-  }
-  for (double& s : averaged) s /= static_cast<double>(members.size());
-  return averaged;
+  return model_->inference().Score(QueryKind::kMemberAverage, members, items);
 }
 
 std::vector<std::pair<data::ItemId, double>>
 FastGroupRecommender::RecommendForMembers(
     const std::vector<data::UserId>& members, int k,
     const data::InteractionMatrix* exclude) const {
-  const auto skip = [&](data::ItemId item) {
-    if (exclude == nullptr) return false;
-    for (data::UserId member : members)
-      if (exclude->Has(member, item)) return true;
-    return false;
-  };
-  if (score_ == ScoreMode::kInt8) {
-    GROUPSA_CHECK(!members.empty(), "fast recommender needs members");
-    InferenceEngine& engine = model_->inference();
-    const double inv_members = 1.0 / static_cast<double>(members.size());
-    std::vector<data::ItemId> candidates;
-    if (mode_ == TopKMode::kIvf) {
-      // Coarse stage over the quantized member reps, averaged exactly like
-      // the fine stage.
-      const std::shared_ptr<const ItemIndex> index = engine.GetOrBuildIndex();
-      if (index->nlist() == 0) return {};
-      std::vector<double> coarse(static_cast<size_t>(index->nlist()), 0.0);
-      for (data::UserId member : members) {
-        const std::vector<double> member_scores =
-            engine.QuantScoreCentroidsForUser(member);
-        for (size_t j = 0; j < coarse.size(); ++j)
-          coarse[j] += member_scores[j];
-      }
-      for (double& s : coarse) s *= inv_members;
-      candidates = index->Candidates(index->SelectProbes(coarse, /*nprobe=*/0));
-    } else {
-      candidates = AllItems(model_->num_items());
-    }
-    // int8 scan: mean of the members' approximate scores.
-    std::vector<double> approx(candidates.size(), 0.0);
-    for (data::UserId member : members) {
-      const std::vector<double> member_scores =
-          engine.ApproxScoreItemsForUser(member, candidates);
-      for (size_t j = 0; j < approx.size(); ++j) approx[j] += member_scores[j];
-    }
-    for (double& s : approx) s *= inv_members;
-    const int rerank = std::max(k, engine.int8_config().rerank_k);
-    const std::vector<std::pair<data::ItemId, double>> shortlist =
-        TopKItems(candidates, approx, rerank, skip);
-    std::vector<data::ItemId> ids;
-    ids.reserve(shortlist.size());
-    for (const auto& entry : shortlist) ids.push_back(entry.first);
-    // Exact FP32 re-rank over the dequantized cached member reps.
-    std::vector<double> exact(ids.size(), 0.0);
-    for (data::UserId member : members) {
-      const std::vector<double> member_scores =
-          engine.QuantScoreItemsForUser(member, ids);
-      for (size_t j = 0; j < exact.size(); ++j) exact[j] += member_scores[j];
-    }
-    for (double& s : exact) s *= inv_members;
-    return TopKItems(ids, exact, k, nullptr);  // shortlist already filtered
-  }
-  if (mode_ == TopKMode::kIvf) {
-    GROUPSA_CHECK(!members.empty(), "fast recommender needs members");
-    InferenceEngine& engine = model_->inference();
-    const std::shared_ptr<const ItemIndex> index = engine.GetOrBuildIndex();
-    if (index->nlist() == 0) return {};
-    // Coarse stage under the same averaging contract as the fine stage: a
-    // list's score is the members' mean exact score of its pseudo-item.
-    std::vector<double> coarse(static_cast<size_t>(index->nlist()), 0.0);
-    for (data::UserId member : members) {
-      const std::vector<double> member_scores =
-          engine.ScoreCentroidsForUser(member);
-      for (size_t j = 0; j < coarse.size(); ++j)
-        coarse[j] += member_scores[j];
-    }
-    for (double& s : coarse) s /= static_cast<double>(members.size());
-    const std::vector<data::ItemId> candidates =
-        index->Candidates(index->SelectProbes(coarse, /*nprobe=*/0));
-    const std::vector<double> scores =
-        ScoreItemsForMembers(members, candidates);
-    return TopKItems(candidates, scores, k, skip);
-  }
-  const std::vector<double> scores =
-      ScoreItemsForMembers(members, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
-}
-
-Status FastGroupRecommender::ValidateMembers(
-    const std::vector<data::UserId>& members) const {
-  if (members.empty()) return Status::Error("empty member list");
-  for (data::UserId member : members) {
-    if (member < 0 || member >= model_->num_users()) {
-      return Status::Error(StrFormat("member id %d out of range [0, %d)",
-                                     member, model_->num_users()));
-    }
-  }
-  return Status::Ok();
-}
-
-Status FastGroupRecommender::ScoreItemsForMembers(
-    const std::vector<data::UserId>& members,
-    const std::vector<data::ItemId>& items,
-    std::vector<double>* scores) const {
-  GROUPSA_RETURN_IF_ERROR(ValidateMembers(members));
-  for (data::ItemId item : items) {
-    if (item < 0 || item >= model_->num_items()) {
-      return Status::Error(StrFormat("item id %d out of range [0, %d)", item,
-                                     model_->num_items()));
-    }
-  }
-  *scores = ScoreItemsForMembers(members, items);
-  return Status::Ok();
-}
-
-Status FastGroupRecommender::RecommendForMembers(
-    const std::vector<data::UserId>& members, int k,
-    const data::InteractionMatrix* exclude,
-    std::vector<std::pair<data::ItemId, double>>* out) const {
-  GROUPSA_RETURN_IF_ERROR(ValidateMembers(members));
-  if (k < 1) return Status::Error(StrFormat("k must be positive, got %d", k));
-  *out = RecommendForMembers(members, k, exclude);
-  return Status::Ok();
+  GROUPSA_CHECK(!members.empty(), "fast recommender needs members");
+  InferenceEngine& engine = model_->inference();
+  InferenceEngine::Plan plan = engine.EnginePlan();
+  plan.topk = mode_;
+  plan.score = score_;
+  return engine.Recommend(QueryKind::kMemberAverage, members, k, exclude,
+                          plan);
 }
 
 }  // namespace groupsa::core

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "core/groupsa_model.h"
 #include "core/item_index.h"
 #include "core/quantized.h"
@@ -17,6 +16,11 @@ namespace groupsa::core {
 // blended user score (Eq. 23) and average — a time/accuracy trade-off for
 // large groups. The member embeddings already carry group-mate interests
 // through joint training, which is why this stays competitive.
+//
+// Both calls are member-average queries (QueryKind::kMemberAverage) on the
+// model's InferenceEngine: the same retrieval pipeline, rep cache and
+// validation boundary (InferenceEngine::ValidateRequest) as the engine's
+// own Recommend*, run under this recommender's modes.
 class FastGroupRecommender {
  public:
   // `model` must outlive the recommender.
@@ -32,12 +36,12 @@ class FastGroupRecommender {
   TopKMode topk_mode() const { return mode_; }
 
   // Candidate-scan precision for RecommendForMembers. Under kInt8 the
-  // per-member candidate scan runs through the engine's int8 path (quantized
-  // member representations, int8 item dots, averaged like the exact scores),
-  // the shortlist of the engine's Int8Config::rerank_k best averaged scans
-  // is re-ranked through the exact FP32 member scores, and both modes
-  // compose: with kIvf the scan covers the IVF candidate union instead of
-  // the catalog. Setup-time call, like set_topk_mode.
+  // members' reps come from the engine's quantized cache, the candidates
+  // are scanned with the int8 path (averaged like the exact scores), and
+  // the engine's Int8Config::rerank_k best averaged scans are re-ranked
+  // through the exact FP32 member scores; with kIvf the scan covers the IVF
+  // candidate union instead of the catalog. Setup-time call, like
+  // set_topk_mode.
   void set_score_mode(ScoreMode mode) { score_ = mode; }
   ScoreMode score_mode() const { return score_; }
 
@@ -53,19 +57,7 @@ class FastGroupRecommender {
       const std::vector<data::UserId>& members, int k,
       const data::InteractionMatrix* exclude = nullptr) const;
 
-  // Validated variants: empty member lists, out-of-range member/item ids and
-  // non-positive k come back as an error Status instead of a CHECK-abort.
-  Status ScoreItemsForMembers(const std::vector<data::UserId>& members,
-                              const std::vector<data::ItemId>& items,
-                              std::vector<double>* scores) const;
-  Status RecommendForMembers(
-      const std::vector<data::UserId>& members, int k,
-      const data::InteractionMatrix* exclude,
-      std::vector<std::pair<data::ItemId, double>>* out) const;
-
  private:
-  Status ValidateMembers(const std::vector<data::UserId>& members) const;
-
   GroupSaModel* model_;
   TopKMode mode_ = TopKMode::kExact;
   ScoreMode score_ = ScoreMode::kExact;

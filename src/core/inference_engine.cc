@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <variant>
 
 #include "common/string_util.h"
 #include "core/topk.h"
@@ -172,6 +173,31 @@ Workspace& GetWorkspace() {
   return ws;
 }
 
+// Rep-cache keys: the (entity kind, precision) tag in the high word and the
+// id in the low word.
+uint64_t RepTag(QueryKind kind, ScoreMode precision) {
+  return static_cast<uint64_t>(kind) << 8 | static_cast<uint64_t>(precision);
+}
+uint64_t RepKey(QueryKind kind, int32_t id, ScoreMode precision) {
+  return RepTag(kind, precision) << 32 | static_cast<uint32_t>(id);
+}
+uint64_t TagOf(uint64_t key) { return key >> 32; }
+
+// The Sec. II-F member average: the members' score vectors summed in member
+// order from +0.0, then divided by n. Every stage of a member-average query
+// (IVF coarse scoring, int8 scan, exact re-rank) averages through here.
+template <typename Rep, typename ScoreFn>
+std::vector<double> MemberMean(const std::vector<Rep>& members, size_t rows,
+                               const ScoreFn& score) {
+  std::vector<double> mean(rows, 0.0);
+  for (const Rep& member : members) {
+    const std::vector<double> scores = score(member);
+    for (size_t i = 0; i < rows; ++i) mean[i] += scores[i];
+  }
+  for (double& s : mean) s /= static_cast<double>(members.size());
+  return mean;
+}
+
 }  // namespace
 
 InferenceEngine::InferenceEngine(GroupSaModel* model) : model_(model) {
@@ -195,10 +221,7 @@ uint64_t InferenceEngine::Revalidate() {
   }
   std::unique_lock<DebugSharedMutex> lock(mu_);
   if (cache_version_ != version) {
-    user_cache_.clear();
-    group_cache_.clear();
-    user_q_cache_.clear();
-    group_q_cache_.clear();
+    rep_cache_.clear();
     split_.reset();
     ivf_.reset();
     quant_.reset();
@@ -209,10 +232,7 @@ uint64_t InferenceEngine::Revalidate() {
 
 void InferenceEngine::InvalidateAll() {
   std::unique_lock<DebugSharedMutex> lock(mu_);
-  user_cache_.clear();
-  group_cache_.clear();
-  user_q_cache_.clear();
-  group_q_cache_.clear();
+  rep_cache_.clear();
   split_.reset();
   ivf_.reset();
   quant_.reset();
@@ -239,54 +259,6 @@ ItemIndexConfig InferenceEngine::index_config() const {
   return index_config_;
 }
 
-size_t InferenceEngine::cached_users() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return user_cache_.size();
-}
-
-size_t InferenceEngine::cached_groups() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return group_cache_.size();
-}
-
-size_t InferenceEngine::cached_quant_users() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return user_q_cache_.size();
-}
-
-size_t InferenceEngine::cached_quant_groups() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return group_q_cache_.size();
-}
-
-size_t InferenceEngine::QuantUserCacheBytes() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& entry : user_q_cache_) {
-    total += entry.second.embedding.MemoryBytes() +
-             entry.second.latent.MemoryBytes();
-  }
-  return total;
-}
-
-size_t InferenceEngine::Fp32UserCacheBytes() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& entry : user_cache_) {
-    total += sizeof(float) *
-             (static_cast<size_t>(entry.second.embedding.size()) +
-              static_cast<size_t>(entry.second.latent.size()));
-  }
-  // The quantized cache's reps at 4 bytes per element: what the same users
-  // would cost had they been cached in FP32 (int8 mode leaves user_cache_
-  // cold, so this term is the denominator-free half of the memory ratio).
-  for (const auto& entry : user_q_cache_) {
-    total += sizeof(float) * (entry.second.embedding.values.size() +
-                              entry.second.latent.values.size());
-  }
-  return total;
-}
-
 void InferenceEngine::set_score_mode(ScoreMode mode) {
   std::unique_lock<DebugSharedMutex> lock(mu_);
   score_mode_ = mode;
@@ -308,24 +280,119 @@ Int8Config InferenceEngine::int8_config() const {
   return int8_config_;
 }
 
-InferenceEngine::UserRep InferenceEngine::BuildUserRep(
-    data::UserId user) const {
-  GroupSaModel::UserForward fwd = model_->BuildUserForward(
-      /*tape=*/nullptr, user, /*training=*/false, /*rng=*/nullptr);
-  UserRep rep;
-  rep.embedding = fwd.embedding->value();
-  if (fwd.latent != nullptr) rep.latent = fwd.latent->value();
-  return rep;
+InferenceEngine::Plan InferenceEngine::EnginePlan() const {
+  std::shared_lock<DebugSharedMutex> lock(mu_);
+  return {topk_mode_, score_mode_, int8_config_.rerank_k};
 }
 
-InferenceEngine::GroupRep InferenceEngine::BuildMembersRep(
+// ---------------- Representations and their cache ------------------------
+
+size_t InferenceEngine::CountCached(QueryKind kind,
+                                    ScoreMode precision) const {
+  const uint64_t tag = RepTag(kind, precision);
+  std::shared_lock<DebugSharedMutex> lock(mu_);
+  size_t count = 0;
+  for (const auto& entry : rep_cache_) count += TagOf(entry.first) == tag;
+  return count;
+}
+
+size_t InferenceEngine::cached_users() const {
+  return CountCached(QueryKind::kUser, ScoreMode::kExact);
+}
+
+size_t InferenceEngine::cached_groups() const {
+  return CountCached(QueryKind::kGroup, ScoreMode::kExact);
+}
+
+size_t InferenceEngine::cached_quant_users() const {
+  return CountCached(QueryKind::kUser, ScoreMode::kInt8);
+}
+
+size_t InferenceEngine::cached_quant_groups() const {
+  return CountCached(QueryKind::kGroup, ScoreMode::kInt8);
+}
+
+size_t InferenceEngine::QuantUserCacheBytes() const {
+  const uint64_t tag = RepTag(QueryKind::kUser, ScoreMode::kInt8);
+  std::shared_lock<DebugSharedMutex> lock(mu_);
+  size_t total = 0;
+  for (const auto& [key, rep] : rep_cache_) {
+    if (TagOf(key) == tag) total += std::get<QuantizedRows>(rep).MemoryBytes();
+  }
+  return total;
+}
+
+size_t InferenceEngine::Fp32UserCacheBytes() const {
+  std::shared_lock<DebugSharedMutex> lock(mu_);
+  size_t total = 0;
+  for (const auto& [key, rep] : rep_cache_) {
+    if (TagOf(key) == RepTag(QueryKind::kUser, ScoreMode::kExact)) {
+      total += sizeof(float) *
+               static_cast<size_t>(std::get<Matrix>(rep).size());
+    } else if (TagOf(key) == RepTag(QueryKind::kUser, ScoreMode::kInt8)) {
+      // What the same user would cost had it been cached in FP32.
+      total += sizeof(float) * std::get<QuantizedRows>(rep).values.size();
+    }
+  }
+  return total;
+}
+
+Matrix InferenceEngine::BuildUserRows(data::UserId user) const {
+  GroupSaModel::UserForward fwd = model_->BuildUserForward(
+      /*tape=*/nullptr, user, /*training=*/false, /*rng=*/nullptr);
+  if (fwd.latent == nullptr) return fwd.embedding->value();
+  return tensor::ConcatRows({&fwd.embedding->value(), &fwd.latent->value()});
+}
+
+Matrix InferenceEngine::BuildVotingRep(
     const std::vector<data::UserId>& members) const {
   GroupSaModel::GroupForward fwd = model_->BuildGroupForwardFromMembers(
       /*tape=*/nullptr, members, /*training=*/false, /*rng=*/nullptr);
-  GroupRep rep;
-  rep.member_reps = fwd.reps.reps->value();
+  return fwd.reps.reps->value();
+}
+
+InferenceEngine::UserRep InferenceEngine::SplitUserRows(const Matrix& rows) {
+  UserRep rep;
+  rep.embedding = rows.Row(0);
+  if (rows.rows() > 1) rep.latent = rows.Row(1);
   return rep;
 }
+
+Matrix InferenceEngine::GetRep(QueryKind kind, int32_t id,
+                               ScoreMode precision) {
+  Revalidate();
+  const uint64_t key = RepKey(kind, id, precision);
+  {
+    std::shared_lock<DebugSharedMutex> lock(mu_);
+    auto it = rep_cache_.find(key);
+    if (it != rep_cache_.end()) {
+      if (const auto* q = std::get_if<QuantizedRows>(&it->second))
+        return q->Dequantize();
+      return std::get<Matrix>(it->second);
+    }
+  }
+  Matrix rows = kind == QueryKind::kUser
+                    ? BuildUserRows(id)
+                    : BuildVotingRep(model_->model_data().groups->Members(id));
+  CachedRep entry;
+  if (precision == ScoreMode::kInt8) {
+    // Only the quantized rows are kept; requests score their round trip.
+    QuantizedRows q = QuantizeRows(rows);
+    rows = q.Dequantize();
+    entry = std::move(q);
+  } else {
+    entry = rows;
+  }
+  {
+    std::unique_lock<DebugSharedMutex> lock(mu_);
+    // Concurrent misses build identical reps (the forward is deterministic
+    // and pure); the first insert wins and the rest are dropped.
+    rep_cache_.emplace(key, std::move(entry));
+  }
+  return rows;
+}
+
+// ---------------- Per-version derived state --------------------------------
 
 InferenceEngine::SplitWeights InferenceEngine::BuildSplitWeights() const {
   SplitWeights sw;
@@ -360,6 +427,18 @@ InferenceEngine::GetSplitWeights() {
   // Concurrent misses build identical splits; the first insert wins.
   if (split_ == nullptr) split_ = std::move(sw);
   return split_;
+}
+
+const tensor::Matrix* InferenceEngine::ModelLatentTable() const {
+  const UserModeling* um = model_->user_modeling();
+  if (um == nullptr || !um->has_item_space()) return nullptr;
+  return &um->item_space()->table()->value();
+}
+
+InferenceEngine::ItemTables InferenceEngine::CatalogTables(
+    const SplitWeights& sw) const {
+  return {&model_->item_embedding().table()->value(), ModelLatentTable(),
+          &sw.attn_item_prefix};
 }
 
 InferenceEngine::IvfState InferenceEngine::BuildIvfState(
@@ -405,69 +484,6 @@ std::shared_ptr<const ItemIndex> InferenceEngine::GetOrBuildIndex() {
   return std::shared_ptr<const ItemIndex>(state, &state->index);
 }
 
-std::vector<double> InferenceEngine::ScoreCentroidsForUser(
-    data::UserId user) {
-  const UserRep rep = GetUserRep(user);
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchUser(
-      rep, AllItems(ivf->index.nlist()), *sw, ivf->centroid_table,
-      ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
-}
-
-std::vector<double> InferenceEngine::ScoreCentroidsForGroup(
-    data::GroupId group) {
-  const GroupRep rep = GetGroupRep(group);
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchGroup(rep, AllItems(ivf->index.nlist()), *sw,
-                         ivf->centroid_table, ivf->centroid_prefix);
-}
-
-std::vector<double> InferenceEngine::ScoreCentroidsForMembers(
-    const std::vector<data::UserId>& members) {
-  Revalidate();
-  const GroupRep rep = BuildMembersRep(members);
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchGroup(rep, AllItems(ivf->index.nlist()), *sw,
-                         ivf->centroid_table, ivf->centroid_prefix);
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::IvfTopKUser(
-    const UserRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  const ItemIndex& index = ivf->index;
-  if (index.nlist() == 0) return {};
-  const std::vector<double> coarse = ScoreBatchUser(
-      rep, AllItems(index.nlist()), *sw, ivf->centroid_table,
-      ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
-  const std::vector<data::ItemId> candidates =
-      index.Candidates(index.SelectProbes(coarse, /*nprobe=*/0));
-  const std::vector<double> scores = ScoreBatchUser(rep, candidates, *sw);
-  return TopKItems(candidates, scores, k, skip);
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::IvfTopKGroup(
-    const GroupRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  const ItemIndex& index = ivf->index;
-  if (index.nlist() == 0) return {};
-  const std::vector<double> coarse =
-      ScoreBatchGroup(rep, AllItems(index.nlist()), *sw, ivf->centroid_table,
-                      ivf->centroid_prefix);
-  const std::vector<data::ItemId> candidates =
-      index.Candidates(index.SelectProbes(coarse, /*nprobe=*/0));
-  const std::vector<double> scores = ScoreBatchGroup(rep, candidates, *sw);
-  return TopKItems(candidates, scores, k, skip);
-}
-
-// ---------------- int8 internals (ScoreMode::kInt8) ----------------------
-
 InferenceEngine::QuantState InferenceEngine::BuildQuantState() const {
   QuantState qs;
   const Matrix& item_table = model_->item_embedding().table()->value();
@@ -499,348 +515,134 @@ InferenceEngine::GetQuantState() {
   return quant_;
 }
 
-InferenceEngine::QuantUserRep InferenceEngine::GetQuantUserRep(
-    data::UserId user) {
-  Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = user_q_cache_.find(user);
-    if (it != user_q_cache_.end()) return it->second;
+// ---------------- The retrieval pipeline ----------------------------------
+
+InferenceEngine::Query InferenceEngine::BuildQuery(
+    QueryKind kind, const std::vector<int32_t>& ids, ScoreMode precision) {
+  Query query;
+  query.kind = kind;
+  switch (kind) {
+    case QueryKind::kUser:
+    case QueryKind::kMemberAverage:
+      for (data::UserId user : ids)
+        query.users.push_back(
+            SplitUserRows(GetRep(QueryKind::kUser, user, precision)));
+      break;
+    case QueryKind::kGroup:
+      query.voting = GetRep(QueryKind::kGroup, ids[0], precision);
+      break;
+    case QueryKind::kMembers:
+      // Ad-hoc member lists have no stable key: the voting-stack rep is
+      // built in FP32 per request whatever the precision.
+      Revalidate();
+      query.voting = BuildVotingRep(ids);
+      break;
   }
-  const UserRep fp = BuildUserRep(user);
-  QuantUserRep rep;
-  rep.embedding = QuantizeRows(fp.embedding);
-  if (!fp.latent.empty()) rep.latent = QuantizeRows(fp.latent);
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    // Concurrent misses build identical reps; the first insert wins.
-    user_q_cache_.emplace(user, rep);
-  }
-  return rep;
+  return query;
 }
 
-InferenceEngine::QuantGroupRep InferenceEngine::GetQuantGroupRep(
-    data::GroupId group) {
-  Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = group_q_cache_.find(group);
-    if (it != group_q_cache_.end()) return it->second;
+template <typename UserFn, typename VotingFn>
+std::vector<double> InferenceEngine::ScoreQuery(const Query& query,
+                                                size_t rows,
+                                                const UserFn& user,
+                                                const VotingFn& voting) {
+  switch (query.kind) {
+    case QueryKind::kUser:
+      return user(query.users[0]);
+    case QueryKind::kGroup:
+    case QueryKind::kMembers:
+      return voting(query.voting);
+    case QueryKind::kMemberAverage:
+      return MemberMean(query.users, rows, user);
   }
-  const GroupRep fp =
-      BuildMembersRep(model_->model_data().groups->Members(group));
-  QuantGroupRep rep;
-  rep.member_reps = QuantizeRows(fp.member_reps);
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    group_q_cache_.emplace(group, rep);
-  }
-  return rep;
+  GROUPSA_CHECK(false, "unknown query kind");
+  return {};
 }
 
-InferenceEngine::UserRep InferenceEngine::DequantizeUserRep(
-    const QuantUserRep& q) {
-  UserRep rep;
-  rep.embedding = q.embedding.Dequantize();
-  if (!q.latent.empty()) rep.latent = q.latent.Dequantize();
-  return rep;
-}
-
-InferenceEngine::GroupRep InferenceEngine::DequantizeGroupRep(
-    const QuantGroupRep& q) {
-  GroupRep rep;
-  rep.member_reps = q.member_reps.Dequantize();
-  return rep;
-}
-
-tensor::Matrix InferenceEngine::TowerInputGradient(const nn::Mlp& mlp,
-                                                   const tensor::Matrix& x0) {
-  const int num_layers = mlp.num_layers();
-  // Forward, recording each layer's pre-activation: the backward pass below
-  // evaluates every activation derivative there (the frozen-mask
-  // linearization — for ReLU towers this is exactly "gradient with the ReLU
-  // masks frozen at x0").
-  std::vector<Matrix> pre(static_cast<size_t>(num_layers));
-  Matrix x = x0;
-  for (int i = 0; i < num_layers; ++i) {
-    Matrix y;
-    tensor::Gemm(x, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
-                 /*transpose_b=*/false, 1.0f, &y);
-    if (mlp.layer(i).bias() != nullptr)
-      tensor::AddRowBroadcastInPlace(&y, mlp.layer(i).bias()->value());
-    pre[static_cast<size_t>(i)] = y;
-    ActivateInPlace(&y, i + 1 == num_layers ? mlp.output_activation()
-                                            : mlp.hidden_activation());
-    x = y;
-  }
-  // Backward: v <- (v . act'(pre_i)) * W_i^T, starting from d(out)/d(out)=1.
-  Matrix v(1, 1);
-  v.At(0, 0) = 1.0f;
-  for (int i = num_layers - 1; i >= 0; --i) {
-    const nn::Activation act = i + 1 == num_layers ? mlp.output_activation()
-                                                   : mlp.hidden_activation();
-    const Matrix& p = pre[static_cast<size_t>(i)];
-    for (int j = 0; j < v.cols(); ++j) v.At(0, j) *= ActDeriv(act, p.At(0, j));
-    Matrix prev;
-    tensor::Gemm(v, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
-                 /*transpose_b=*/true, 1.0f, &prev);
-    v = prev;
-  }
-  return v;  // 1 x in_dim
-}
-
-void InferenceEngine::ApproxScoresUser(const UserRep& rep,
-                                       const QuantState& qs,
-                                       const std::vector<data::ItemId>& items,
-                                       std::vector<double>* out) const {
-  out->assign(items.size(), 0.0);
-  const int n = static_cast<int>(items.size());
-  if (n == 0 || qs.items.empty()) return;
-  const int d = qs.items.cols;
-  Workspace& ws = GetWorkspace();
-  const tensor::KernelBackend& kb = tensor::ActiveBackend();
-  const float blend = model_->config().effective_user_blend();
-  const bool blended = !rep.latent.empty() && blend > 0.0f;
-
-  // r^R1 direction: d(tower)/d(emb_t) at [emb_j (+) ref_item]; the item half
-  // is cols [d, 2d) of the input gradient.
-  tensor::ConcatColsInto({&rep.embedding, &qs.ref_item}, &ws.x0);
-  const Matrix g1 = TowerInputGradient(model_->user_tower().tower(), ws.x0);
-  ws.q1.resize(static_cast<size_t>(d));
-  const float s1 = QuantizeRow(g1.RowPtr(0) + d, d, ws.q1.data());
-  ws.i8dots.resize(items.size());
-  kb.dot_i8_rows(ws.q1.data(), qs.items.values.data(), items.data(), n, d,
-                 ws.i8dots.data());
-  const double w1 = blended ? 1.0 - static_cast<double>(blend) : 1.0;
-  for (int i = 0; i < n; ++i) {
-    (*out)[static_cast<size_t>(i)] =
-        w1 * static_cast<double>(s1) *
-        static_cast<double>(qs.items.scale(items[static_cast<size_t>(i)])) *
-        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
-  }
-  if (!blended) return;
-
-  // r^R2 direction over the latent table (items fall back when absent).
-  const QuantizedRows& lat = qs.latents.empty() ? qs.items : qs.latents;
-  tensor::ConcatColsInto({&rep.latent, &qs.ref_latent}, &ws.x0);
-  const Matrix g2 = TowerInputGradient(model_->latent_tower().tower(), ws.x0);
-  ws.q2.resize(static_cast<size_t>(d));
-  const float s2 = QuantizeRow(g2.RowPtr(0) + d, d, ws.q2.data());
-  kb.dot_i8_rows(ws.q2.data(), lat.values.data(), items.data(), n, d,
-                 ws.i8dots.data());
-  const double w2 = static_cast<double>(blend);
-  for (int i = 0; i < n; ++i) {
-    (*out)[static_cast<size_t>(i)] +=
-        w2 * static_cast<double>(s2) *
-        static_cast<double>(lat.scale(items[static_cast<size_t>(i)])) *
-        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
-  }
-}
-
-void InferenceEngine::ApproxScoresGroup(const GroupRep& rep,
-                                        const QuantState& qs,
-                                        const std::vector<data::ItemId>& items,
-                                        std::vector<double>* out) const {
-  out->assign(items.size(), 0.0);
-  const int n = static_cast<int>(items.size());
-  if (n == 0 || qs.items.empty()) return;
-  const int d = qs.items.cols;
-  Workspace& ws = GetWorkspace();
-  const Matrix& reps = rep.member_reps;  // l x d
-  const int l = reps.rows();
-  const nn::AttentionPool& pool = model_->voting().group_pool();
-  const nn::Linear& proj = model_->voting().group_proj();
-
-  // Group representation at the reference item, attention softmax frozen
-  // there: one [ref_item (+) rep_i] row per member through score_hidden /
-  // ReLU / score_out, softmax over members, pool, project.
-  EnsureShape(&ws.cont, l, 2 * d);
-  for (int i = 0; i < l; ++i) {
-    std::memcpy(ws.cont.RowPtr(i), qs.ref_item.RowPtr(0),
-                sizeof(float) * static_cast<size_t>(d));
-    std::memcpy(ws.cont.RowPtr(i) + d, reps.RowPtr(i),
-                sizeof(float) * static_cast<size_t>(d));
-  }
-  tensor::Gemm(ws.cont, /*transpose_a=*/false,
-               pool.score_hidden().weight()->value(), /*transpose_b=*/false,
-               1.0f, &ws.hidden);
-  if (pool.score_hidden().bias() != nullptr)
-    tensor::AddRowBroadcastInPlace(&ws.hidden,
-                                   pool.score_hidden().bias()->value());
-  ActivateInPlace(&ws.hidden, nn::Activation::kRelu);
-  tensor::Gemm(ws.hidden, /*transpose_a=*/false,
-               pool.score_out().weight()->value(), /*transpose_b=*/false, 1.0f,
-               &ws.logits);  // l x 1
-  if (pool.score_out().bias() != nullptr)
-    tensor::AddRowBroadcastInPlace(&ws.logits, pool.score_out().bias()->value());
-  EnsureShape(&ws.weights, 1, l);  // the l x 1 column, relaid out as a row
-  std::memcpy(ws.weights.data(), ws.logits.data(),
-              sizeof(float) * static_cast<size_t>(l));
-  tensor::SoftmaxRowsInPlace(&ws.weights);
-  tensor::Gemm(ws.weights, /*transpose_a=*/false, reps, /*transpose_b=*/false,
-               1.0f, &ws.pooled);  // 1 x d
-  tensor::Gemm(ws.pooled, /*transpose_a=*/false, proj.weight()->value(),
-               /*transpose_b=*/false, 1.0f, &ws.group_rep);
-  if (proj.bias() != nullptr)
-    tensor::AddRowBroadcastInPlace(&ws.group_rep, proj.bias()->value());
-  ActivateInPlace(&ws.group_rep, nn::Activation::kRelu);
-
-  // r^G direction: d(tower)/d(emb_t) at [x^G(ref) (+) ref_item].
-  tensor::ConcatColsInto({&ws.group_rep, &qs.ref_item}, &ws.x0);
-  const Matrix g = TowerInputGradient(model_->group_tower().tower(), ws.x0);
-  ws.q1.resize(static_cast<size_t>(d));
-  const float s = QuantizeRow(g.RowPtr(0) + d, d, ws.q1.data());
-  ws.i8dots.resize(items.size());
-  tensor::ActiveBackend().dot_i8_rows(ws.q1.data(), qs.items.values.data(),
-                                      items.data(), n, d, ws.i8dots.data());
-  for (int i = 0; i < n; ++i) {
-    (*out)[static_cast<size_t>(i)] =
-        static_cast<double>(s) *
-        static_cast<double>(qs.items.scale(items[static_cast<size_t>(i)])) *
-        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
-  }
-}
-
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::Int8TopKUser(
-    const UserRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
+InferenceEngine::Ranking InferenceEngine::Retrieve(const Query& query,
+                                                   const Plan& plan, int k,
+                                                   const SkipFn& skip) {
   const auto sw = GetSplitWeights();
-  const auto qs = GetQuantState();
-  std::vector<data::ItemId> candidates;
-  if (topk_mode() == TopKMode::kIvf) {
-    const auto ivf = GetIvfState();
-    if (ivf->index.nlist() == 0) return {};
-    const std::vector<double> coarse = ScoreBatchUser(
-        rep, AllItems(ivf->index.nlist()), *sw, ivf->centroid_table,
-        ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
-    candidates =
-        ivf->index.Candidates(ivf->index.SelectProbes(coarse, /*nprobe=*/0));
-  } else {
-    candidates = AllItems(model_->num_items());
-  }
-  std::vector<double> approx;
-  ApproxScoresUser(rep, *qs, candidates, &approx);
-  const int rerank = std::max(k, int8_config().rerank_k);
-  const std::vector<std::pair<data::ItemId, double>> shortlist =
-      TopKItems(candidates, approx, rerank, skip);
-  std::vector<data::ItemId> ids;
-  ids.reserve(shortlist.size());
-  for (const auto& entry : shortlist) ids.push_back(entry.first);
-  const std::vector<double> exact = ScoreBatchUser(rep, ids, *sw);
-  return TopKItems(ids, exact, k, nullptr);  // shortlist already skip-filtered
-}
 
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::Int8TopKGroup(
-    const GroupRep& rep, int k,
-    const std::function<bool(data::ItemId)>& skip) {
-  const auto sw = GetSplitWeights();
-  const auto qs = GetQuantState();
+  // Candidates: the catalog, or the union of the best-scoring IVF lists.
   std::vector<data::ItemId> candidates;
-  if (topk_mode() == TopKMode::kIvf) {
+  if (plan.topk == TopKMode::kIvf) {
     const auto ivf = GetIvfState();
-    if (ivf->index.nlist() == 0) return {};
+    const ItemIndex& index = ivf->index;
+    if (index.nlist() == 0) return {};
     const std::vector<double> coarse =
-        ScoreBatchGroup(rep, AllItems(ivf->index.nlist()), *sw,
-                        ivf->centroid_table, ivf->centroid_prefix);
-    candidates =
-        ivf->index.Candidates(ivf->index.SelectProbes(coarse, /*nprobe=*/0));
+        ScoreRows(query, AllItems(index.nlist()), *sw, ivf->Tables());
+    candidates = index.Candidates(index.SelectProbes(coarse, /*nprobe=*/0));
   } else {
     candidates = AllItems(model_->num_items());
   }
-  std::vector<double> approx;
-  ApproxScoresGroup(rep, *qs, candidates, &approx);
-  const int rerank = std::max(k, int8_config().rerank_k);
-  const std::vector<std::pair<data::ItemId, double>> shortlist =
-      TopKItems(candidates, approx, rerank, skip);
-  std::vector<data::ItemId> ids;
-  ids.reserve(shortlist.size());
-  for (const auto& entry : shortlist) ids.push_back(entry.first);
-  const std::vector<double> exact = ScoreBatchGroup(rep, ids, *sw);
-  return TopKItems(ids, exact, k, nullptr);  // shortlist already skip-filtered
+
+  // Optional int8 shortlist: the best max(k, rerank_k) candidates by the
+  // int8 scan, skip-filtered here so the re-rank needs no filter.
+  const bool shortlisted = plan.score == ScoreMode::kInt8;
+  if (shortlisted) {
+    const auto qs = GetQuantState();
+    const std::vector<double> scan = ScoreQuery(
+        query, candidates.size(),
+        [&](const UserRep& rep) { return ScanUser(rep, *qs, candidates); },
+        [&](const Matrix& reps) { return ScanVoting(reps, *qs, candidates); });
+    std::vector<data::ItemId> shortlist;
+    for (const auto& entry : TopKItems(candidates, scan,
+                                       std::max(k, plan.rerank_k), skip))
+      shortlist.push_back(entry.first);
+    candidates = std::move(shortlist);
+  }
+
+  // Exact re-rank, then the top-K cut.
+  const std::vector<double> scores =
+      ScoreRows(query, candidates, *sw, CatalogTables(*sw));
+  return TopKItems(candidates, scores, k, shortlisted ? nullptr : skip);
 }
 
-std::vector<double> InferenceEngine::ApproxScoreItemsForUser(
-    data::UserId user, const std::vector<data::ItemId>& items) {
-  const UserRep rep = DequantizeUserRep(GetQuantUserRep(user));
-  const auto qs = GetQuantState();
-  std::vector<double> out;
-  ApproxScoresUser(rep, *qs, items, &out);
-  return out;
+InferenceEngine::Ranking InferenceEngine::Recommend(
+    QueryKind kind, const std::vector<int32_t>& ids, int k,
+    const data::InteractionMatrix* exclude, const Plan& plan) {
+  SkipFn skip;
+  if (exclude != nullptr) {
+    skip = [exclude, &ids](data::ItemId item) {
+      for (int32_t row : ids)
+        if (exclude->Has(row, item)) return true;
+      return false;
+    };
+  }
+  return Retrieve(BuildQuery(kind, ids, plan.score), plan, k, skip);
 }
 
-std::vector<double> InferenceEngine::QuantScoreItemsForUser(
-    data::UserId user, const std::vector<data::ItemId>& items) {
-  const UserRep rep = DequantizeUserRep(GetQuantUserRep(user));
-  return ScoreBatchUser(rep, items, *GetSplitWeights());
+std::vector<double> InferenceEngine::ScoreRows(
+    const Query& query, const std::vector<data::ItemId>& rows,
+    const SplitWeights& sw, const ItemTables& tables) const {
+  return ScoreQuery(
+      query, rows.size(),
+      [&](const UserRep& rep) { return ScoreBatchUser(rep, rows, sw, tables); },
+      [&](const Matrix& reps) {
+        return ScoreBatchGroup(reps, rows, sw, tables);
+      });
 }
 
-std::vector<double> InferenceEngine::QuantScoreCentroidsForUser(
-    data::UserId user) {
-  const UserRep rep = DequantizeUserRep(GetQuantUserRep(user));
+std::vector<double> InferenceEngine::Score(
+    QueryKind kind, const std::vector<int32_t>& ids,
+    const std::vector<data::ItemId>& items) {
+  const Query query = BuildQuery(kind, ids, ScoreMode::kExact);
   const auto sw = GetSplitWeights();
-  const auto ivf = GetIvfState();
-  return ScoreBatchUser(
-      rep, AllItems(ivf->index.nlist()), *sw, ivf->centroid_table,
-      ivf->centroid_latents.empty() ? nullptr : &ivf->centroid_latents);
+  return ScoreRows(query, items, *sw, CatalogTables(*sw));
 }
 
-InferenceEngine::UserRep InferenceEngine::GetUserRep(data::UserId user) {
-  Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = user_cache_.find(user);
-    if (it != user_cache_.end()) return it->second;
-  }
-  UserRep rep = BuildUserRep(user);
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    // Concurrent misses build identical reps (the forward is deterministic
-    // and pure); the first insert wins and the rest are dropped.
-    user_cache_.emplace(user, rep);
-  }
-  return rep;
-}
-
-InferenceEngine::GroupRep InferenceEngine::GetGroupRep(data::GroupId group) {
-  Revalidate();
-  {
-    std::shared_lock<DebugSharedMutex> lock(mu_);
-    auto it = group_cache_.find(group);
-    if (it != group_cache_.end()) return it->second;
-  }
-  GroupRep rep =
-      BuildMembersRep(model_->model_data().groups->Members(group));
-  {
-    std::unique_lock<DebugSharedMutex> lock(mu_);
-    group_cache_.emplace(group, rep);
-  }
-  return rep;
-}
-
-const tensor::Matrix* InferenceEngine::ModelLatentTable() const {
-  const UserModeling* um = model_->user_modeling();
-  if (um == nullptr || !um->has_item_space()) return nullptr;
-  return &um->item_space()->table()->value();
-}
+// ---------------- Exact batched scoring -----------------------------------
 
 std::vector<double> InferenceEngine::ScoreBatchUser(
     const UserRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw) const {
-  return ScoreBatchUser(rep, items, sw,
-                        model_->item_embedding().table()->value(),
-                        ModelLatentTable());
-}
-
-std::vector<double> InferenceEngine::ScoreBatchUser(
-    const UserRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw, const tensor::Matrix& table,
-    const tensor::Matrix* latent_table) const {
+    const SplitWeights& sw, const ItemTables& tables) const {
   std::vector<double> scores;
   scores.reserve(items.size());
   if (items.empty()) return scores;
   Workspace& ws = GetWorkspace();
 
-  const Matrix& item_table = table;
+  const Matrix& item_table = *tables.items;
   const float blend = model_->config().effective_user_blend();
   // Mirrors the r1-only early-out of GroupSaModel::ScoreUserItem.
   const bool blended = !rep.latent.empty() && blend > 0.0f;
@@ -878,8 +680,8 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
     if (blended) {
       // r^R2 over [h_j (+) x_t^V] (x^V falls back to emb^V for Group-I).
       const Matrix* latents = &ws.embs;
-      if (latent_table != nullptr) {
-        GatherRowsInto(*latent_table, ids, c, &ws.latents);
+      if (tables.latents != nullptr) {
+        GatherRowsInto(*tables.latents, ids, c, &ws.latents);
         latents = &ws.latents;
       }
       EnsureShape(&ws.r2a, c, h);
@@ -901,24 +703,15 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
 }
 
 std::vector<double> InferenceEngine::ScoreBatchGroup(
-    const GroupRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw) const {
-  return ScoreBatchGroup(rep, items, sw,
-                         model_->item_embedding().table()->value(),
-                         sw.attn_item_prefix);
-}
-
-std::vector<double> InferenceEngine::ScoreBatchGroup(
-    const GroupRep& rep, const std::vector<data::ItemId>& items,
-    const SplitWeights& sw, const tensor::Matrix& table,
-    const tensor::Matrix& attn_prefix) const {
+    const Matrix& reps, const std::vector<data::ItemId>& items,
+    const SplitWeights& sw, const ItemTables& tables) const {
   std::vector<double> scores;
   scores.reserve(items.size());
   if (items.empty()) return scores;
   Workspace& ws = GetWorkspace();
 
-  const Matrix& item_table = table;
-  const Matrix& reps = rep.member_reps;  // l x d
+  const Matrix& item_table = *tables.items;
+  const Matrix& attn_prefix = *tables.attn_prefix;
   const int l = reps.rows();
   const int d = reps.cols();
   const int h = attn_prefix.cols();
@@ -1039,26 +832,171 @@ std::vector<double> InferenceEngine::ScoreBatchGroup(
   return scores;
 }
 
+// ---------------- int8 scan (ScoreMode::kInt8) ----------------------------
+
+tensor::Matrix InferenceEngine::TowerInputGradient(const nn::Mlp& mlp,
+                                                   const tensor::Matrix& x0) {
+  const int num_layers = mlp.num_layers();
+  // Forward, recording each layer's pre-activation: the backward pass below
+  // evaluates every activation derivative there (the frozen-mask
+  // linearization — for ReLU towers this is exactly "gradient with the ReLU
+  // masks frozen at x0").
+  std::vector<Matrix> pre(static_cast<size_t>(num_layers));
+  Matrix x = x0;
+  for (int i = 0; i < num_layers; ++i) {
+    Matrix y;
+    tensor::Gemm(x, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
+                 /*transpose_b=*/false, 1.0f, &y);
+    if (mlp.layer(i).bias() != nullptr)
+      tensor::AddRowBroadcastInPlace(&y, mlp.layer(i).bias()->value());
+    pre[static_cast<size_t>(i)] = y;
+    ActivateInPlace(&y, i + 1 == num_layers ? mlp.output_activation()
+                                            : mlp.hidden_activation());
+    x = y;
+  }
+  // Backward: v <- (v . act'(pre_i)) * W_i^T, starting from d(out)/d(out)=1.
+  Matrix v(1, 1);
+  v.At(0, 0) = 1.0f;
+  for (int i = num_layers - 1; i >= 0; --i) {
+    const nn::Activation act = i + 1 == num_layers ? mlp.output_activation()
+                                                   : mlp.hidden_activation();
+    const Matrix& p = pre[static_cast<size_t>(i)];
+    for (int j = 0; j < v.cols(); ++j) v.At(0, j) *= ActDeriv(act, p.At(0, j));
+    Matrix prev;
+    tensor::Gemm(v, /*transpose_a=*/false, mlp.layer(i).weight()->value(),
+                 /*transpose_b=*/true, 1.0f, &prev);
+    v = prev;
+  }
+  return v;  // 1 x in_dim
+}
+
+std::vector<double> InferenceEngine::ScanUser(
+    const UserRep& rep, const QuantState& qs,
+    const std::vector<data::ItemId>& items) const {
+  std::vector<double> out(items.size(), 0.0);
+  const int n = static_cast<int>(items.size());
+  if (n == 0 || qs.items.empty()) return out;
+  const int d = qs.items.cols;
+  Workspace& ws = GetWorkspace();
+  const tensor::KernelBackend& kb = tensor::ActiveBackend();
+  const float blend = model_->config().effective_user_blend();
+  const bool blended = !rep.latent.empty() && blend > 0.0f;
+
+  // r^R1 direction: d(tower)/d(emb_t) at [emb_j (+) ref_item]; the item half
+  // is cols [d, 2d) of the input gradient.
+  tensor::ConcatColsInto({&rep.embedding, &qs.ref_item}, &ws.x0);
+  const Matrix g1 = TowerInputGradient(model_->user_tower().tower(), ws.x0);
+  ws.q1.resize(static_cast<size_t>(d));
+  const float s1 = QuantizeRow(g1.RowPtr(0) + d, d, ws.q1.data());
+  ws.i8dots.resize(items.size());
+  kb.dot_i8_rows(ws.q1.data(), qs.items.values.data(), items.data(), n, d,
+                 ws.i8dots.data());
+  const double w1 = blended ? 1.0 - static_cast<double>(blend) : 1.0;
+  for (int i = 0; i < n; ++i) {
+    out[static_cast<size_t>(i)] =
+        w1 * static_cast<double>(s1) *
+        static_cast<double>(qs.items.scale(items[static_cast<size_t>(i)])) *
+        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
+  }
+  if (!blended) return out;
+
+  // r^R2 direction over the latent table (items fall back when absent).
+  const QuantizedRows& lat = qs.latents.empty() ? qs.items : qs.latents;
+  tensor::ConcatColsInto({&rep.latent, &qs.ref_latent}, &ws.x0);
+  const Matrix g2 = TowerInputGradient(model_->latent_tower().tower(), ws.x0);
+  ws.q2.resize(static_cast<size_t>(d));
+  const float s2 = QuantizeRow(g2.RowPtr(0) + d, d, ws.q2.data());
+  kb.dot_i8_rows(ws.q2.data(), lat.values.data(), items.data(), n, d,
+                 ws.i8dots.data());
+  const double w2 = static_cast<double>(blend);
+  for (int i = 0; i < n; ++i) {
+    out[static_cast<size_t>(i)] +=
+        w2 * static_cast<double>(s2) *
+        static_cast<double>(lat.scale(items[static_cast<size_t>(i)])) *
+        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
+  }
+  return out;
+}
+
+std::vector<double> InferenceEngine::ScanVoting(
+    const Matrix& reps, const QuantState& qs,
+    const std::vector<data::ItemId>& items) const {
+  std::vector<double> out(items.size(), 0.0);
+  const int n = static_cast<int>(items.size());
+  if (n == 0 || qs.items.empty()) return out;
+  const int d = qs.items.cols;
+  Workspace& ws = GetWorkspace();
+  const int l = reps.rows();
+  const nn::AttentionPool& pool = model_->voting().group_pool();
+  const nn::Linear& proj = model_->voting().group_proj();
+
+  // Group representation at the reference item, attention softmax frozen
+  // there: one [ref_item (+) rep_i] row per member through score_hidden /
+  // ReLU / score_out, softmax over members, pool, project.
+  EnsureShape(&ws.cont, l, 2 * d);
+  for (int i = 0; i < l; ++i) {
+    std::memcpy(ws.cont.RowPtr(i), qs.ref_item.RowPtr(0),
+                sizeof(float) * static_cast<size_t>(d));
+    std::memcpy(ws.cont.RowPtr(i) + d, reps.RowPtr(i),
+                sizeof(float) * static_cast<size_t>(d));
+  }
+  tensor::Gemm(ws.cont, /*transpose_a=*/false,
+               pool.score_hidden().weight()->value(), /*transpose_b=*/false,
+               1.0f, &ws.hidden);
+  if (pool.score_hidden().bias() != nullptr)
+    tensor::AddRowBroadcastInPlace(&ws.hidden,
+                                   pool.score_hidden().bias()->value());
+  ActivateInPlace(&ws.hidden, nn::Activation::kRelu);
+  tensor::Gemm(ws.hidden, /*transpose_a=*/false,
+               pool.score_out().weight()->value(), /*transpose_b=*/false, 1.0f,
+               &ws.logits);  // l x 1
+  if (pool.score_out().bias() != nullptr)
+    tensor::AddRowBroadcastInPlace(&ws.logits, pool.score_out().bias()->value());
+  EnsureShape(&ws.weights, 1, l);  // the l x 1 column, relaid out as a row
+  std::memcpy(ws.weights.data(), ws.logits.data(),
+              sizeof(float) * static_cast<size_t>(l));
+  tensor::SoftmaxRowsInPlace(&ws.weights);
+  tensor::Gemm(ws.weights, /*transpose_a=*/false, reps, /*transpose_b=*/false,
+               1.0f, &ws.pooled);  // 1 x d
+  tensor::Gemm(ws.pooled, /*transpose_a=*/false, proj.weight()->value(),
+               /*transpose_b=*/false, 1.0f, &ws.group_rep);
+  if (proj.bias() != nullptr)
+    tensor::AddRowBroadcastInPlace(&ws.group_rep, proj.bias()->value());
+  ActivateInPlace(&ws.group_rep, nn::Activation::kRelu);
+
+  // r^G direction: d(tower)/d(emb_t) at [x^G(ref) (+) ref_item].
+  tensor::ConcatColsInto({&ws.group_rep, &qs.ref_item}, &ws.x0);
+  const Matrix g = TowerInputGradient(model_->group_tower().tower(), ws.x0);
+  ws.q1.resize(static_cast<size_t>(d));
+  const float s = QuantizeRow(g.RowPtr(0) + d, d, ws.q1.data());
+  ws.i8dots.resize(items.size());
+  tensor::ActiveBackend().dot_i8_rows(ws.q1.data(), qs.items.values.data(),
+                                      items.data(), n, d, ws.i8dots.data());
+  for (int i = 0; i < n; ++i) {
+    out[static_cast<size_t>(i)] =
+        static_cast<double>(s) *
+        static_cast<double>(qs.items.scale(items[static_cast<size_t>(i)])) *
+        static_cast<double>(ws.i8dots[static_cast<size_t>(i)]);
+  }
+  return out;
+}
+
+// ---------------- Public entry points --------------------------------------
+
 std::vector<double> InferenceEngine::ScoreItemsForUser(
     data::UserId user, const std::vector<data::ItemId>& items) {
-  const UserRep rep = GetUserRep(user);
-  return ScoreBatchUser(rep, items, *GetSplitWeights());
+  return Score(QueryKind::kUser, {user}, items);
 }
 
 std::vector<double> InferenceEngine::ScoreItemsForGroup(
     data::GroupId group, const std::vector<data::ItemId>& items) {
-  const GroupRep rep = GetGroupRep(group);
-  return ScoreBatchGroup(rep, items, *GetSplitWeights());
+  return Score(QueryKind::kGroup, {group}, items);
 }
 
 std::vector<double> InferenceEngine::ScoreItemsForMembers(
     const std::vector<data::UserId>& members,
     const std::vector<data::ItemId>& items) {
-  // Ad-hoc (cold) member lists have no stable key; build the reps per
-  // request and batch only the per-item work.
-  Revalidate();
-  const GroupRep rep = BuildMembersRep(members);
-  return ScoreBatchGroup(rep, items, *GetSplitWeights());
+  return Score(QueryKind::kMembers, members, items);
 }
 
 std::vector<std::vector<double>> InferenceEngine::MemberItemScores(
@@ -1071,169 +1009,52 @@ std::vector<std::vector<double>> InferenceEngine::MemberItemScores(
   return scores;
 }
 
-std::vector<std::pair<data::ItemId, double>> InferenceEngine::RecommendForUser(
+InferenceEngine::Ranking InferenceEngine::RecommendForUser(
     data::UserId user, int k, const data::InteractionMatrix* exclude) {
-  const auto skip = [&](data::ItemId item) {
-    return exclude != nullptr && exclude->Has(user, item);
-  };
-  if (score_mode() == ScoreMode::kInt8)
-    return Int8TopKUser(DequantizeUserRep(GetQuantUserRep(user)), k, skip);
-  if (topk_mode() == TopKMode::kIvf)
-    return IvfTopKUser(GetUserRep(user), k, skip);
-  const std::vector<double> scores =
-      ScoreItemsForUser(user, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
+  return Recommend(QueryKind::kUser, {user}, k, exclude, EnginePlan());
 }
 
-std::vector<std::pair<data::ItemId, double>>
-InferenceEngine::RecommendForGroup(data::GroupId group, int k,
-                                   const data::InteractionMatrix* exclude) {
-  const auto skip = [&](data::ItemId item) {
-    return exclude != nullptr && exclude->Has(group, item);
-  };
-  if (score_mode() == ScoreMode::kInt8)
-    return Int8TopKGroup(DequantizeGroupRep(GetQuantGroupRep(group)), k, skip);
-  if (topk_mode() == TopKMode::kIvf)
-    return IvfTopKGroup(GetGroupRep(group), k, skip);
-  const std::vector<double> scores =
-      ScoreItemsForGroup(group, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
+InferenceEngine::Ranking InferenceEngine::RecommendForGroup(
+    data::GroupId group, int k, const data::InteractionMatrix* exclude) {
+  return Recommend(QueryKind::kGroup, {group}, k, exclude, EnginePlan());
 }
 
-std::vector<std::pair<data::ItemId, double>>
-InferenceEngine::RecommendForMembers(const std::vector<data::UserId>& members,
-                                     int k,
-                                     const data::InteractionMatrix* exclude) {
-  const auto skip = [&](data::ItemId item) {
-    if (exclude == nullptr) return false;
-    for (data::UserId member : members)
-      if (exclude->Has(member, item)) return true;
-    return false;
-  };
-  if (score_mode() == ScoreMode::kInt8) {
-    // Ad-hoc member lists have no cache key: the voting-stack rep is built
-    // in FP32 per request (as in exact mode); the int8 scan still replaces
-    // the full-catalog FP32 pass.
-    Revalidate();
-    return Int8TopKGroup(BuildMembersRep(members), k, skip);
-  }
-  if (topk_mode() == TopKMode::kIvf) {
-    Revalidate();
-    return IvfTopKGroup(BuildMembersRep(members), k, skip);
-  }
-  const std::vector<double> scores =
-      ScoreItemsForMembers(members, AllItems(model_->num_items()));
-  return TopKItems(scores, k, skip);
-}
-
-// ---------------- Validated (Status) serving entry points ----------------
-
-Status InferenceEngine::ValidateUser(data::UserId user) const {
-  if (user < 0 || user >= model_->num_users()) {
-    return Status::Error(StrFormat("user id %d out of range [0, %d)", user,
-                                   model_->num_users()));
-  }
-  return Status::Ok();
-}
-
-Status InferenceEngine::ValidateGroup(data::GroupId group) const {
-  const data::GroupTable* groups = model_->model_data().groups;
-  if (groups == nullptr)
-    return Status::Error("model has no group table");
-  if (group < 0 || group >= groups->num_groups()) {
-    return Status::Error(StrFormat("group id %d out of range [0, %d)", group,
-                                   groups->num_groups()));
-  }
-  return Status::Ok();
-}
-
-Status InferenceEngine::ValidateMembers(
-    const std::vector<data::UserId>& members) const {
-  if (members.empty()) return Status::Error("empty member list");
-  for (data::UserId member : members) {
-    GROUPSA_RETURN_IF_ERROR_CTX(ValidateUser(member), "member");
-  }
-  return Status::Ok();
-}
-
-Status InferenceEngine::ValidateItems(
-    const std::vector<data::ItemId>& items) const {
-  for (data::ItemId item : items) {
-    if (item < 0 || item >= model_->num_items()) {
-      return Status::Error(StrFormat("item id %d out of range [0, %d)", item,
-                                     model_->num_items()));
-    }
-  }
-  return Status::Ok();
-}
-
-Status InferenceEngine::ValidateK(int k) const {
-  if (k < 1) return Status::Error(StrFormat("k must be positive, got %d", k));
-  return Status::Ok();
-}
-
-Status InferenceEngine::ScoreItemsForUser(data::UserId user,
-                                          const std::vector<data::ItemId>& items,
-                                          std::vector<double>* scores) {
-  GROUPSA_RETURN_IF_ERROR(ValidateUser(user));
-  GROUPSA_RETURN_IF_ERROR(ValidateItems(items));
-  *scores = ScoreItemsForUser(user, items);
-  return Status::Ok();
-}
-
-Status InferenceEngine::ScoreItemsForGroup(
-    data::GroupId group, const std::vector<data::ItemId>& items,
-    std::vector<double>* scores) {
-  GROUPSA_RETURN_IF_ERROR(ValidateGroup(group));
-  GROUPSA_RETURN_IF_ERROR(ValidateItems(items));
-  *scores = ScoreItemsForGroup(group, items);
-  return Status::Ok();
-}
-
-Status InferenceEngine::ScoreItemsForMembers(
-    const std::vector<data::UserId>& members,
-    const std::vector<data::ItemId>& items, std::vector<double>* scores) {
-  GROUPSA_RETURN_IF_ERROR(ValidateMembers(members));
-  GROUPSA_RETURN_IF_ERROR(ValidateItems(items));
-  *scores = ScoreItemsForMembers(members, items);
-  return Status::Ok();
-}
-
-Status InferenceEngine::MemberItemScores(
-    const std::vector<data::UserId>& members,
-    const std::vector<data::ItemId>& items,
-    std::vector<std::vector<double>>* scores) {
-  GROUPSA_RETURN_IF_ERROR(ValidateMembers(members));
-  GROUPSA_RETURN_IF_ERROR(ValidateItems(items));
-  *scores = MemberItemScores(members, items);
-  return Status::Ok();
-}
-
-Status InferenceEngine::RecommendForUser(
-    data::UserId user, int k, const data::InteractionMatrix* exclude,
-    std::vector<std::pair<data::ItemId, double>>* out) {
-  GROUPSA_RETURN_IF_ERROR(ValidateUser(user));
-  GROUPSA_RETURN_IF_ERROR(ValidateK(k));
-  *out = RecommendForUser(user, k, exclude);
-  return Status::Ok();
-}
-
-Status InferenceEngine::RecommendForGroup(
-    data::GroupId group, int k, const data::InteractionMatrix* exclude,
-    std::vector<std::pair<data::ItemId, double>>* out) {
-  GROUPSA_RETURN_IF_ERROR(ValidateGroup(group));
-  GROUPSA_RETURN_IF_ERROR(ValidateK(k));
-  *out = RecommendForGroup(group, k, exclude);
-  return Status::Ok();
-}
-
-Status InferenceEngine::RecommendForMembers(
+InferenceEngine::Ranking InferenceEngine::RecommendForMembers(
     const std::vector<data::UserId>& members, int k,
-    const data::InteractionMatrix* exclude,
-    std::vector<std::pair<data::ItemId, double>>* out) {
-  GROUPSA_RETURN_IF_ERROR(ValidateMembers(members));
-  GROUPSA_RETURN_IF_ERROR(ValidateK(k));
-  *out = RecommendForMembers(members, k, exclude);
+    const data::InteractionMatrix* exclude) {
+  return Recommend(QueryKind::kMembers, members, k, exclude, EnginePlan());
+}
+
+Status InferenceEngine::ValidateRequest(QueryKind kind,
+                                        const std::vector<int32_t>& ids,
+                                        int k) const {
+  const auto in_range = [](const char* what, int32_t id, int count) {
+    if (id >= 0 && id < count) return Status::Ok();
+    return Status::Error(
+        StrFormat("%s id %d out of range [0, %d)", what, id, count));
+  };
+  switch (kind) {
+    case QueryKind::kUser:
+      if (ids.size() != 1) return Status::Error("expected one user id");
+      GROUPSA_RETURN_IF_ERROR(in_range("user", ids[0], model_->num_users()));
+      break;
+    case QueryKind::kGroup: {
+      if (ids.size() != 1) return Status::Error("expected one group id");
+      const data::GroupTable* groups = model_->model_data().groups;
+      if (groups == nullptr) return Status::Error("model has no group table");
+      GROUPSA_RETURN_IF_ERROR(in_range("group", ids[0], groups->num_groups()));
+      break;
+    }
+    case QueryKind::kMembers:
+    case QueryKind::kMemberAverage:
+      if (ids.empty()) return Status::Error("empty member list");
+      for (data::UserId member : ids) {
+        GROUPSA_RETURN_IF_ERROR_CTX(
+            in_range("user", member, model_->num_users()), "member");
+      }
+      break;
+  }
+  if (k < 1) return Status::Error(StrFormat("k must be positive, got %d", k));
   return Status::Ok();
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/debug_mutex.h"
@@ -15,6 +16,13 @@
 #include "core/quantized.h"
 
 namespace groupsa::core {
+
+// What a request scores items for. kUser, kGroup and kMembers are the
+// engine's own RecommendFor{User,Group,Members}: a user rep, or the voting
+// stack over a stored group's or an ad-hoc list's members. kMemberAverage
+// is the Sec. II-F fast path (FastGroupRecommender): the mean of the
+// members' user scores.
+enum class QueryKind { kUser, kGroup, kMembers, kMemberAverage };
 
 // Batched, tape-free serving path for GroupSA (the production answer to the
 // paper's Sec. II-F speed concern).
@@ -61,6 +69,8 @@ namespace groupsa::core {
 // before or after an optimizer Step(), not during.
 class InferenceEngine {
  public:
+  using Ranking = std::vector<std::pair<data::ItemId, double>>;
+
   // `model` must outlive the engine.
   explicit InferenceEngine(GroupSaModel* model);
 
@@ -77,45 +87,26 @@ class InferenceEngine {
       const std::vector<data::UserId>& members,
       const std::vector<data::ItemId>& items);
 
-  // Full-catalog Top-K (partial-sort selection; items observed in `exclude`
-  // are skipped when it is non-null). For RecommendForMembers the exclude
-  // matrix is user-row: an item is skipped when ANY member has observed it.
-  std::vector<std::pair<data::ItemId, double>> RecommendForUser(
-      data::UserId user, int k, const data::InteractionMatrix* exclude);
-  std::vector<std::pair<data::ItemId, double>> RecommendForGroup(
-      data::GroupId group, int k, const data::InteractionMatrix* exclude);
-  std::vector<std::pair<data::ItemId, double>> RecommendForMembers(
-      const std::vector<data::UserId>& members, int k,
-      const data::InteractionMatrix* exclude);
+  // Full-catalog Top-K (items observed in `exclude` are skipped when it is
+  // non-null). For RecommendForMembers the exclude matrix is user-row: an
+  // item is skipped when ANY member has observed it. Each call is one run
+  // of the retrieval pipeline (see Retrieve below) under the engine's modes.
+  Ranking RecommendForUser(data::UserId user, int k,
+                           const data::InteractionMatrix* exclude);
+  Ranking RecommendForGroup(data::GroupId group, int k,
+                            const data::InteractionMatrix* exclude);
+  Ranking RecommendForMembers(const std::vector<data::UserId>& members, int k,
+                              const data::InteractionMatrix* exclude);
 
-  // ---------------- Validated (Status) serving entry points --------------
-  // Production-facing variants of the scorers above: out-of-range
-  // user/group/member/item ids, empty member lists and non-positive k come
-  // back as a descriptive error Status instead of a CHECK-abort, leaving
-  // the process and caches intact. The unchecked variants remain the
-  // internal hot path (trusted ids from the evaluator/trainer).
-  Status ScoreItemsForUser(data::UserId user,
-                           const std::vector<data::ItemId>& items,
-                           std::vector<double>* scores);
-  Status ScoreItemsForGroup(data::GroupId group,
-                            const std::vector<data::ItemId>& items,
-                            std::vector<double>* scores);
-  Status ScoreItemsForMembers(const std::vector<data::UserId>& members,
-                              const std::vector<data::ItemId>& items,
-                              std::vector<double>* scores);
-  Status MemberItemScores(const std::vector<data::UserId>& members,
-                          const std::vector<data::ItemId>& items,
-                          std::vector<std::vector<double>>* scores);
-  Status RecommendForUser(data::UserId user, int k,
-                          const data::InteractionMatrix* exclude,
-                          std::vector<std::pair<data::ItemId, double>>* out);
-  Status RecommendForGroup(data::GroupId group, int k,
-                           const data::InteractionMatrix* exclude,
-                           std::vector<std::pair<data::ItemId, double>>* out);
-  Status RecommendForMembers(
-      const std::vector<data::UserId>& members, int k,
-      const data::InteractionMatrix* exclude,
-      std::vector<std::pair<data::ItemId, double>>* out);
+  // The one validation boundary. The scorers and Recommend* entry points
+  // above are the trusted hot path (ids from the evaluator and trainer) and
+  // CHECK-abort on bad input; serving front ends call this first. `ids`
+  // holds the one user or group id for kUser / kGroup and the member list
+  // for kMembers / kMemberAverage. Out-of-range ids, an empty member list
+  // and a non-positive k come back as a descriptive error, leaving the
+  // process and caches intact.
+  Status ValidateRequest(QueryKind kind, const std::vector<int32_t>& ids,
+                         int k) const;
 
   // ---------------- Sublinear retrieval (TopKMode::kIvf) -----------------
   // Opt-in IVF candidate generation for the Recommend* entry points: probe
@@ -146,15 +137,6 @@ class InferenceEngine {
   // stays valid across invalidation (shared ownership); it just stops being
   // the engine's current index.
   std::shared_ptr<const ItemIndex> GetOrBuildIndex();
-
-  // Exact tower scores of the index's per-list pseudo-items (one score per
-  // centroid, nlist() entries) — the coarse stage of the IVF search, public
-  // so external re-rankers (FastGroupRecommender) can drive their own
-  // candidate generation through ItemIndex::SelectProbes/Candidates.
-  std::vector<double> ScoreCentroidsForUser(data::UserId user);
-  std::vector<double> ScoreCentroidsForGroup(data::GroupId group);
-  std::vector<double> ScoreCentroidsForMembers(
-      const std::vector<data::UserId>& members);
 
   // ---------------- Quantized serving (ScoreMode::kInt8) -----------------
   // Opt-in int8 candidate scan for the Recommend* entry points. Under kInt8
@@ -198,20 +180,6 @@ class InferenceEngine {
   };
   std::shared_ptr<const QuantState> GetQuantState();
 
-  // Raw int8-scan scores (approximate, for ranking only: constant offsets
-  // are dropped). Public for the quality tests and for external re-rankers
-  // (FastGroupRecommender) that shortlist with the same scan.
-  std::vector<double> ApproxScoreItemsForUser(
-      data::UserId user, const std::vector<data::ItemId>& items);
-  // Exact FP32 tower scores over the DEQUANTIZED quantized-cached user
-  // representation — the int8 re-rank path; bit-identical to
-  // ScoreItemsForUser whenever quantization round-trips the rep exactly.
-  std::vector<double> QuantScoreItemsForUser(
-      data::UserId user, const std::vector<data::ItemId>& items);
-  // IVF coarse stage over the quantized-cached rep (exact centroid scoring,
-  // like ScoreCentroidsForUser, without touching the FP32 rep cache).
-  std::vector<double> QuantScoreCentroidsForUser(data::UserId user);
-
   // Drops every cached representation immediately. Never required for
   // correctness (version stamping already fences parameter updates); useful
   // to reclaim memory at epoch boundaries.
@@ -220,39 +188,34 @@ class InferenceEngine {
   // Current parameter version (sum of per-parameter value versions).
   uint64_t params_version() const;
 
-  // Cache introspection (tests, ops counters).
+  // Cache introspection (tests, ops counters): entries per entity kind at
+  // each precision.
   size_t cached_users() const;
   size_t cached_groups() const;
   size_t cached_quant_users() const;
   size_t cached_quant_groups() const;
   // Payload bytes behind the int8 memory gate: QuantUserCacheBytes is the
-  // quantized user-rep cache as stored; Fp32UserCacheBytes is the FP32 cost
-  // of the same cached users — the live FP32 cache plus 4 bytes per element
-  // for every quantized-cached rep (which int8 mode keeps out of the FP32
-  // cache; that avoidance is the memory win the ratio measures).
+  // quantized user reps as stored; Fp32UserCacheBytes is the FP32 cost of
+  // every cached user — the FP32 entries plus 4 bytes per element for every
+  // quantized entry (which int8 mode keeps instead of an FP32 one; that
+  // avoidance is the memory win the ratio measures).
   size_t QuantUserCacheBytes() const;
   size_t Fp32UserCacheBytes() const;
 
  private:
+  // The Sec. II-F recommender runs its member-average queries through the
+  // same pipeline under its own modes.
+  friend class FastGroupRecommender;
+
+  using SkipFn = std::function<bool(data::ItemId)>;
+
   // Item-independent per-user state: emb_j^U and (when user modeling is on)
-  // the latent h_j. `latent` is empty when the blend is inactive.
+  // the latent h_j. `latent` is empty when the blend is inactive. (A group's
+  // or member list's state is the voting-stack output x_{t,i}^U, l x d.)
   struct UserRep {
     tensor::Matrix embedding;  // 1 x d
     tensor::Matrix latent;     // 1 x d, or empty
   };
-  // Item-independent per-group state: the voting-stack output x_{t,i}^U.
-  struct GroupRep {
-    tensor::Matrix member_reps;  // l x d
-  };
-
-  // Returns the cached representation, building (and inserting) it on miss.
-  // Returned by value: map storage may move under concurrent inserts.
-  UserRep GetUserRep(data::UserId user);
-  GroupRep GetGroupRep(data::GroupId group);
-
-  // Tape-free representation builders (no cache).
-  UserRep BuildUserRep(data::UserId user) const;
-  GroupRep BuildMembersRep(const std::vector<data::UserId>& members) const;
 
   // Per-parameter-version derived weights. Every concat-input linear in the
   // model sees rows of the form [left (+) right]; splitting its weight matrix
@@ -275,28 +238,95 @@ class InferenceEngine {
   // after an invalidation (shared across threads; first build wins).
   std::shared_ptr<const SplitWeights> GetSplitWeights();
 
-  // Batched scoring given a prebuilt representation. The table-parameterized
-  // variants score rows of an arbitrary item-side table (ids index `table`):
-  // the catalog entry points pass the model's live tables, the IVF coarse
-  // stage passes the index's centroid tables — same code, same bits.
-  // `latent_table` may be null (latent concat rows fall back to `table`, the
-  // Group-I behaviour); `attn_prefix` must hold Gemm(table, attn_w_top).
-  std::vector<double> ScoreBatchUser(const UserRep& rep,
-                                     const std::vector<data::ItemId>& items,
-                                     const SplitWeights& sw) const;
-  std::vector<double> ScoreBatchGroup(const GroupRep& rep,
-                                      const std::vector<data::ItemId>& items,
-                                      const SplitWeights& sw) const;
+  // The item-side rows a query scores: the catalog's live tables, or the
+  // IVF index's per-list pseudo-items — same code, same bits. `latents` may
+  // be null (latent concat rows fall back to `items`, the Group-I
+  // behaviour); `attn_prefix` holds Gemm(*items, attn_w_top).
+  struct ItemTables {
+    const tensor::Matrix* items = nullptr;
+    const tensor::Matrix* latents = nullptr;
+    const tensor::Matrix* attn_prefix = nullptr;
+  };
+  ItemTables CatalogTables(const SplitWeights& sw) const;
+
+  // ---------------- The retrieval pipeline --------------------------------
+  // A plan is read once per request from the mode setters: the engine's
+  // own for Recommend*, FastGroupRecommender's for the member average. Its
+  // stages: candidates (the catalog, or an IVF probe over the centroid
+  // tables) -> an optional int8 shortlist of max(k, rerank_k) -> an exact
+  // re-rank -> TopKItems. The score mode is also the precision the query's
+  // cached reps are read at.
+  struct Plan {
+    TopKMode topk = TopKMode::kExact;
+    ScoreMode score = ScoreMode::kExact;
+    int rerank_k = 0;
+  };
+  Plan EnginePlan() const;
+
+  // A query scores a batch of rows from an item-side table. kUser holds
+  // one user rep and kMemberAverage one per member (their scores are
+  // averaged by MemberMean in every stage); kGroup / kMembers hold the
+  // voting-stack rep.
+  struct Query {
+    QueryKind kind = QueryKind::kUser;
+    std::vector<UserRep> users;
+    tensor::Matrix voting;  // l x d
+  };
+  // Reps read at `precision` (cached ones dequantized under kInt8); an
+  // ad-hoc member list's voting rep is built in FP32 per request.
+  Query BuildQuery(QueryKind kind, const std::vector<int32_t>& ids,
+                   ScoreMode precision);
+
+  // Query -> ranking under `plan`. Returned scores are exact re-rank bits.
+  Ranking Retrieve(const Query& query, const Plan& plan, int k,
+                   const SkipFn& skip);
+  // Retrieve for `kind` over `ids`, skipping items any of `ids` has seen in
+  // `exclude` (the user row, the group row, or every member's user row).
+  Ranking Recommend(QueryKind kind, const std::vector<int32_t>& ids, int k,
+                    const data::InteractionMatrix* exclude, const Plan& plan);
+  // Exact catalog scores of `items` for `kind` over `ids` (FP32 reps).
+  std::vector<double> Score(QueryKind kind, const std::vector<int32_t>& ids,
+                            const std::vector<data::ItemId>& items);
+  // Exact tower scores of rows `rows` of `tables` for `query`: the IVF
+  // coarse stage (centroid tables) and the re-rank (catalog tables).
+  std::vector<double> ScoreRows(const Query& query,
+                                const std::vector<data::ItemId>& rows,
+                                const SplitWeights& sw,
+                                const ItemTables& tables) const;
+  // One stage's scores for `query`: `user` scores a user rep, `voting` a
+  // voting-stack rep, and kMemberAverage takes the MemberMean of `user`.
+  template <typename UserFn, typename VotingFn>
+  static std::vector<double> ScoreQuery(const Query& query, size_t rows,
+                                        const UserFn& user,
+                                        const VotingFn& voting);
+
+  // ---------------- Representations and their cache ----------------------
+  // Cached lookup at `precision`, building (and inserting) on miss; kUser
+  // and kGroup ids only. A rep is a stack of d-column rows: a user's
+  // [emb_j^U; h_j] (one row without a latent), a group's x_{t,i}^U.
+  tensor::Matrix GetRep(QueryKind kind, int32_t id, ScoreMode precision);
+  // Tape-free rep construction (no cache).
+  tensor::Matrix BuildUserRows(data::UserId user) const;
+  tensor::Matrix BuildVotingRep(const std::vector<data::UserId>& members) const;
+  static UserRep SplitUserRows(const tensor::Matrix& rows);
+
+  // The one rep cache, keyed by (entity kind, id, precision). An entry
+  // holds its rows at the key's precision only: FP32 for ScoreMode::kExact,
+  // row-quantized for kInt8 (where no FP32 copy is kept — the memory win).
+  using CachedRep = std::variant<tensor::Matrix, QuantizedRows>;
+  // Entries of one (entity kind, precision).
+  size_t CountCached(QueryKind kind, ScoreMode precision) const;
+
+  // Exact batched tower scores of rows `items` of `tables` (`reps` is a
+  // voting-stack rep, l x d).
   std::vector<double> ScoreBatchUser(const UserRep& rep,
                                      const std::vector<data::ItemId>& items,
                                      const SplitWeights& sw,
-                                     const tensor::Matrix& table,
-                                     const tensor::Matrix* latent_table) const;
-  std::vector<double> ScoreBatchGroup(const GroupRep& rep,
+                                     const ItemTables& tables) const;
+  std::vector<double> ScoreBatchGroup(const tensor::Matrix& reps,
                                       const std::vector<data::ItemId>& items,
                                       const SplitWeights& sw,
-                                      const tensor::Matrix& table,
-                                      const tensor::Matrix& attn_prefix) const;
+                                      const ItemTables& tables) const;
 
   // The item-space latent table when user modeling carries one, else null
   // (shared by the catalog scoring paths and the IVF state build).
@@ -309,6 +339,11 @@ class InferenceEngine {
     tensor::Matrix centroid_table;    // ListMeans over the item embeddings
     tensor::Matrix centroid_prefix;   // Gemm(centroid_table, attn_w_top)
     tensor::Matrix centroid_latents;  // ListMeans over item_space, or empty
+    ItemTables Tables() const {
+      return {&centroid_table,
+              centroid_latents.empty() ? nullptr : &centroid_latents,
+              &centroid_prefix};
+    }
   };
   IvfState BuildIvfState(const ItemIndexConfig& config,
                          const SplitWeights& sw) const;
@@ -316,31 +351,7 @@ class InferenceEngine {
   // invalidation (shared across threads; first build wins).
   std::shared_ptr<const IvfState> GetIvfState();
 
-  // IVF top-K given a prebuilt representation: coarse-score the centroid
-  // pseudo-items, probe, re-rank the candidate union exactly.
-  std::vector<std::pair<data::ItemId, double>> IvfTopKUser(
-      const UserRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
-  std::vector<std::pair<data::ItemId, double>> IvfTopKGroup(
-      const GroupRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
-
   // ---------------- int8 internals (ScoreMode::kInt8) --------------------
-  // Row-quantized twins of UserRep/GroupRep; what the int8-mode caches hold.
-  struct QuantUserRep {
-    QuantizedRows embedding;  // 1 x d
-    QuantizedRows latent;     // 1 x d, or empty
-  };
-  struct QuantGroupRep {
-    QuantizedRows member_reps;  // l x d
-  };
-  // Cached lookup, building (FP32, transient) and quantizing on miss. The
-  // FP32 caches are NOT populated on this path — that is the memory win.
-  QuantUserRep GetQuantUserRep(data::UserId user);
-  QuantGroupRep GetQuantGroupRep(data::GroupId group);
-  static UserRep DequantizeUserRep(const QuantUserRep& q);
-  static GroupRep DequantizeGroupRep(const QuantGroupRep& q);
-
   QuantState BuildQuantState() const;
 
   // Gradient of the MLP output (1 x 1) with respect to its input row, taken
@@ -351,32 +362,15 @@ class InferenceEngine {
 
   // int8 scan scores of `items` (ids into the quantized tables) for a
   // prebuilt FP32 representation; ranking-only values (offsets dropped).
-  void ApproxScoresUser(const UserRep& rep, const QuantState& qs,
-                        const std::vector<data::ItemId>& items,
-                        std::vector<double>* out) const;
-  void ApproxScoresGroup(const GroupRep& rep, const QuantState& qs,
-                         const std::vector<data::ItemId>& items,
-                         std::vector<double>* out) const;
-
-  // int8 top-K: candidates (catalog, or IVF union when topk_mode() is kIvf)
-  // -> int8 scan -> top rerank_k shortlist -> exact FP32 re-rank -> top k.
-  std::vector<std::pair<data::ItemId, double>> Int8TopKUser(
-      const UserRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
-  std::vector<std::pair<data::ItemId, double>> Int8TopKGroup(
-      const GroupRep& rep, int k,
-      const std::function<bool(data::ItemId)>& skip);
+  std::vector<double> ScanUser(const UserRep& rep, const QuantState& qs,
+                               const std::vector<data::ItemId>& items) const;
+  std::vector<double> ScanVoting(const tensor::Matrix& reps,
+                                 const QuantState& qs,
+                                 const std::vector<data::ItemId>& items) const;
 
   // Drops all caches when the parameter version moved; returns the current
   // version.
   uint64_t Revalidate();
-
-  // Request validation behind the Status entry points.
-  Status ValidateUser(data::UserId user) const;
-  Status ValidateGroup(data::GroupId group) const;
-  Status ValidateMembers(const std::vector<data::UserId>& members) const;
-  Status ValidateItems(const std::vector<data::ItemId>& items) const;
-  Status ValidateK(int k) const;
 
   GroupSaModel* const model_;
   // Flattened parameter tensors, captured once (parameter identity is fixed
@@ -386,10 +380,8 @@ class InferenceEngine {
 
   mutable DebugSharedMutex mu_{"core.engine_cache"};
   uint64_t cache_version_ GROUPSA_GUARDED_BY(mu_) = 0;
-  std::unordered_map<data::UserId, UserRep> user_cache_
-      GROUPSA_GUARDED_BY(mu_);
-  std::unordered_map<data::GroupId, GroupRep> group_cache_
-      GROUPSA_GUARDED_BY(mu_);
+  // reset on version change
+  std::unordered_map<uint64_t, CachedRep> rep_cache_ GROUPSA_GUARDED_BY(mu_);
   // reset on version change
   std::shared_ptr<const SplitWeights> split_ GROUPSA_GUARDED_BY(mu_);
   TopKMode topk_mode_ GROUPSA_GUARDED_BY(mu_) = TopKMode::kExact;
@@ -400,10 +392,6 @@ class InferenceEngine {
   Int8Config int8_config_ GROUPSA_GUARDED_BY(mu_);
   // reset on version change
   std::shared_ptr<const QuantState> quant_ GROUPSA_GUARDED_BY(mu_);
-  std::unordered_map<data::UserId, QuantUserRep> user_q_cache_
-      GROUPSA_GUARDED_BY(mu_);
-  std::unordered_map<data::GroupId, QuantGroupRep> group_q_cache_
-      GROUPSA_GUARDED_BY(mu_);
 };
 
 }  // namespace groupsa::core

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/fast_recommender.h"
 #include "core/inference_engine.h"
 #include "core/test_fixtures.h"
 
@@ -166,7 +165,7 @@ TEST(FallbackRecommenderTest, ServeDegradedCountsAndExcludesLikeTheModel) {
   EXPECT_EQ(fallback.degraded_responses(), 1);
 }
 
-// ---------------- Validated (Status) serving entry points ----------------
+// ---------------- The validation boundary ----------------------------------
 
 class ServingStatusTest : public ::testing::Test {
  protected:
@@ -182,80 +181,48 @@ class ServingStatusTest : public ::testing::Test {
   InferenceEngine engine_;
 };
 
-TEST_F(ServingStatusTest, ValidRequestsMatchUncheckedVariants) {
-  const std::vector<data::ItemId> items = {0, 3, 7};
-  std::vector<double> scores;
-  ASSERT_TRUE(engine_.ScoreItemsForUser(4, items, &scores).ok());
-  EXPECT_EQ(scores, engine_.ScoreItemsForUser(4, items));
-
-  ASSERT_TRUE(engine_.ScoreItemsForGroup(2, items, &scores).ok());
-  EXPECT_EQ(scores, engine_.ScoreItemsForGroup(2, items));
-
-  ASSERT_TRUE(engine_.ScoreItemsForMembers({1, 2}, items, &scores).ok());
-  EXPECT_EQ(scores, engine_.ScoreItemsForMembers({1, 2}, items));
-
-  std::vector<std::vector<double>> member_scores;
-  ASSERT_TRUE(engine_.MemberItemScores({1, 2}, items, &member_scores).ok());
-  EXPECT_EQ(member_scores, engine_.MemberItemScores({1, 2}, items));
-
-  std::vector<std::pair<data::ItemId, double>> ranked;
-  ASSERT_TRUE(engine_.RecommendForUser(4, 5, nullptr, &ranked).ok());
-  EXPECT_EQ(ranked, engine_.RecommendForUser(4, 5, nullptr));
-
-  ASSERT_TRUE(engine_.RecommendForGroup(2, 5, nullptr, &ranked).ok());
-  EXPECT_EQ(ranked, engine_.RecommendForGroup(2, 5, nullptr));
-
-  ASSERT_TRUE(engine_.RecommendForMembers({1, 2}, 5, nullptr, &ranked).ok());
-  EXPECT_EQ(ranked, engine_.RecommendForMembers({1, 2}, 5, nullptr));
-}
-
 TEST_F(ServingStatusTest, InvalidIdsReturnDescriptiveErrors) {
-  std::vector<double> scores;
-  Status s = engine_.ScoreItemsForUser(-1, {0}, &scores);
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kUser, {4}, 5).ok());
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kGroup, {2}, 5).ok());
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kMembers, {1, 2}, 5).ok());
+
+  Status s = engine_.ValidateRequest(QueryKind::kUser, {-1}, 5);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("user id -1 out of range"), std::string::npos);
 
-  s = engine_.ScoreItemsForUser(model_->num_users(), {0}, &scores);
+  s = engine_.ValidateRequest(QueryKind::kUser, {model_->num_users()}, 5);
   EXPECT_FALSE(s.ok());
 
-  s = engine_.ScoreItemsForUser(0, {model_->num_items()}, &scores);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("item id"), std::string::npos);
-
-  s = engine_.ScoreItemsForGroup(-7, {0}, &scores);
+  s = engine_.ValidateRequest(QueryKind::kGroup, {-7}, 5);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("group id -7 out of range"), std::string::npos);
 
-  s = engine_.ScoreItemsForMembers({}, {0}, &scores);
+  s = engine_.ValidateRequest(QueryKind::kMembers, {}, 5);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("empty member list"), std::string::npos);
 
-  s = engine_.ScoreItemsForMembers({0, -2}, {0}, &scores);
+  s = engine_.ValidateRequest(QueryKind::kMembers, {0, -2}, 5);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("member"), std::string::npos);
 
-  std::vector<std::pair<data::ItemId, double>> ranked;
-  s = engine_.RecommendForUser(0, 0, nullptr, &ranked);
+  s = engine_.ValidateRequest(QueryKind::kUser, {0}, 0);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("k must be positive"), std::string::npos);
 }
 
 TEST_F(ServingStatusTest, FastRecommenderValidatesMembers) {
-  FastGroupRecommender fast(model_.get());
-  const std::vector<data::ItemId> items = {0, 1, 2};
-  std::vector<double> scores;
-  ASSERT_TRUE(fast.ScoreItemsForMembers({0, 1}, items, &scores).ok());
-  EXPECT_EQ(scores, fast.ScoreItemsForMembers({0, 1}, items));
+  // FastGroupRecommender's member-average queries share the engine's one
+  // validation boundary.
+  EXPECT_TRUE(
+      engine_.ValidateRequest(QueryKind::kMemberAverage, {0, 1}, 4).ok());
 
-  Status s = fast.ScoreItemsForMembers({0, -1}, items, &scores);
+  Status s = engine_.ValidateRequest(QueryKind::kMemberAverage, {0, -1}, 4);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("out of range"), std::string::npos);
 
-  std::vector<std::pair<data::ItemId, double>> ranked;
-  ASSERT_TRUE(fast.RecommendForMembers({0, 1}, 4, nullptr, &ranked).ok());
-  EXPECT_EQ(ranked, fast.RecommendForMembers({0, 1}, 4, nullptr));
-  EXPECT_FALSE(fast.RecommendForMembers({}, 4, nullptr, &ranked).ok());
-  EXPECT_FALSE(fast.RecommendForMembers({0}, -2, nullptr, &ranked).ok());
+  EXPECT_FALSE(engine_.ValidateRequest(QueryKind::kMemberAverage, {}, 4).ok());
+  EXPECT_FALSE(
+      engine_.ValidateRequest(QueryKind::kMemberAverage, {0}, -2).ok());
 }
 
 }  // namespace

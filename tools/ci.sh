@@ -18,13 +18,16 @@
 #   serve-golden  serve-mode golden gate (train -> checkpoint -> scripted
 #                 daemon run, byte-compared at 1x1 vs 4x4 workers/threads)
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
-#                 from the last good checkpoint)
+#                 from the last good checkpoint) and the bad-numeric-flag
+#                 gate (exit 1 naming the flag, never an abort)
 #   index         IVF retrieval gates: nprobe=nlist exact-parity (0-ULP vs
-#                 kExact), recall@10 on the seeded world, the pinned
+#                 kExact), the pinned retrieval-plan top-10 digests,
+#                 recall@10 on the seeded world, the pinned
 #                 centroid/assignment digests of fixed builds, and the full
 #                 ItemIndex suite under ASan
 #   quant         kernel-dispatch + int8 gates: backend parity suite, the
-#                 int8 ranking-quality/memory gates, cross-backend training
+#                 int8 ranking-quality/memory gates and retrieval-plan
+#                 digests, cross-backend training
 #                 checkpoints byte-identical at 1 and 4 threads (every
 #                 runnable backend via GROUPSA_KERNEL_BACKEND), and the
 #                 quantized suites under ASan
@@ -41,6 +44,11 @@
 #                 measurement unit test and the quick smoke run of every
 #                 workload, traced and untraced, with the parity, digest
 #                 and conservation checks
+#
+# A lane or step that cannot run here (a missing tool) is recorded with
+# skip_check, and the run ends with one "NOT VERIFIED: <lane/step>" line
+# per skip before "CI OK", so a green run never hides a check that did not
+# happen. Skips do not change the exit status.
 #
 # Usage: tools/ci.sh [jobs] [lane ...]     (default: nproc jobs, all lanes)
 
@@ -66,6 +74,14 @@ ensure_build() {
   if [ ! -f "${dir}/CMakeCache.txt" ]; then
     cmake -B "${dir}" -S . "$@"
   fi
+}
+
+# Checks that did not run, for the closing summary.
+NOT_VERIFIED=()
+skip_check() {
+  local check="$1" reason="$2"
+  echo "SKIPPED: ${check} (${reason})"
+  NOT_VERIFIED+=("${check}")
 }
 
 TMP_DIRS=()
@@ -131,7 +147,7 @@ lane_locks() {
         -Wthread-safety -Werror=thread-safety "${tu}"
     done
   else
-    echo "clang++ not installed; skipping -Wthread-safety check"
+    skip_check "locks/clang -Wthread-safety" "clang++ not installed"
   fi
 
   echo "=== locks lane (release zero-overhead gate: bench_serving --quick) ==="
@@ -152,7 +168,7 @@ lane_tidy() {
     cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
     git ls-files 'src/*.cc' | xargs clang-tidy -p build --quiet
   else
-    echo "clang-tidy not installed; skipping tidy lane"
+    skip_check "tidy" "clang-tidy not installed"
   fi
 }
 
@@ -260,6 +276,45 @@ EOF
   cmp "${serve_dir}/golden_w1_t1.txt" "${serve_dir}/golden_w4_t4.txt"
   echo "serve-mode golden gate OK"
 
+  echo "=== serve flag gate (bad numeric flags exit 1, never abort) ==="
+  # Each line: the flag the error must name, then the arguments. These
+  # values would otherwise reach a CHECK in the Server or CircuitBreaker
+  # constructor and abort with exit 134.
+  local flag args rc
+  while read -r flag args; do
+    set +e
+    # shellcheck disable=SC2086  # $args is a word list on purpose
+    ./build/tools/groupsa_serve --data "${serve_dir}" \
+      --model "${serve_dir}/model.ckpt" ${args} < /dev/null > /dev/null \
+      2> "${serve_dir}/flag_err.txt"
+    rc=$?
+    set -e
+    if [ "${rc}" -ne 1 ]; then
+      echo "FAIL: groupsa_serve ${args} exited ${rc}, expected 1" >&2
+      exit 1
+    fi
+    if ! grep -q -- "--${flag} " "${serve_dir}/flag_err.txt"; then
+      echo "FAIL: groupsa_serve ${args}: stderr does not name --${flag}" >&2
+      exit 1
+    fi
+  done <<'EOF'
+workers --workers 0
+queue --queue 0
+reload-retries --reload-retries -1
+reload-retries --reload-retries=-1
+breaker-window --breaker --breaker-window 0
+breaker-probes --breaker --breaker-probes 0
+breaker-threshold --breaker --breaker-threshold 0
+breaker-threshold --breaker --breaker-window 4 --breaker-threshold 5
+workers --workers two
+queue --queue 8x
+reload-retries --reload-retries many
+breaker-window --breaker --breaker-window ten
+breaker-threshold --breaker --breaker-threshold half
+breaker-probes --breaker --breaker-probes 1.5
+EOF
+  echo "serve flag gate OK"
+
   echo "=== crash-during-reload gate ==="
   # A SIGKILL in the middle of the generation swap must not corrupt
   # anything: the staged generation is process-local and the checkpoint on
@@ -322,8 +377,10 @@ lane_index() {
   # Exact-parity gate: with nprobe = nlist the candidate set is the whole
   # catalog and every IVF answer must be 0-ULP identical to TopKMode::kExact
   # — through the engine, the fast recommender, and across thread counts.
+  # RetrievePlanTest adds the pinned top-10 digests of every config x query
+  # kind x plan cell of the retrieval pipeline.
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
-    -R 'FullProbeBitIdenticalToExact'
+    -R 'FullProbeBitIdenticalToExact|RetrievePlanTest'
   # Recall gate: at a genuinely approximate nprobe the IVF top-10 must keep
   # recall@10 above the floor on the seeded synthetic world (deterministic,
   # so a drop is a regression, not noise).
@@ -349,9 +406,10 @@ lane_quant() {
   # Backend bit-identity on every kernel in the dispatch table, the int8
   # quantizer edge cases, and the int8 serving-path gates (HR@10/NDCG@10
   # within 1% of exact, >= 3.5x rep-cache memory reduction, invalidation
-  # after optimizer steps, IVF composition).
+  # after optimizer steps, IVF composition), and the retrieval pipeline's
+  # pinned digests and full-probe identities under the int8 plans.
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
-    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest'
+    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest|RetrievePlanTest'
 
   echo "=== quant lane (cross-backend training checkpoint parity) ==="
   # Train the tiny world end to end under each runnable backend (forced via
@@ -388,7 +446,7 @@ lane_quant() {
     -DGROUPSA_SANITIZE=address
   cmake --build build-asan -j "${JOBS}"
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest'
+    -R 'KernelBackendTest|QuantizedTest|Int8ModeTest|RetrievePlanTest'
 }
 
 lane_chaos() {
@@ -504,4 +562,7 @@ for lane in "${LANES[@]}"; do
   esac
 done
 
+for check in "${NOT_VERIFIED[@]:-}"; do
+  if [ -n "${check}" ]; then echo "NOT VERIFIED: ${check}"; fi
+done
 echo "CI OK"

@@ -44,11 +44,15 @@
 // the serve.* fault-injection sites (e.g. serve.reload.swap=kill for the
 // crash-during-reload gate).
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
@@ -75,7 +79,9 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
     const size_t eq = arg.find('=');
     if (eq != std::string::npos) {
       flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+    } else if (i + 1 < argc &&
+               std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+      // Anything but the next flag is this flag's value, "-1" included.
       flags[arg] = argv[++i];
     } else {
       flags[arg] = "1";
@@ -93,6 +99,30 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
+}
+
+// Reads integer flag `name` (`fallback` when absent) into *out. A value that
+// is not a whole decimal number in [min, max] prints an error naming the
+// flag and returns false: the Server and CircuitBreaker constructors CHECK
+// these bounds, so a bad value must stop here rather than abort there.
+bool IntFlag(const std::map<std::string, std::string>& flags,
+             const std::string& name, const std::string& fallback, int min,
+             int max, int* out) {
+  const std::string text = FlagOr(flags, name, fallback);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno != 0 || value < min ||
+      value > max) {
+    const std::string range = max == INT_MAX
+                                  ? StrFormat(">= %d", min)
+                                  : StrFormat("in [%d, %d]", min, max);
+    Fail(StrFormat("--%s must be an integer %s, got '%s'", name.c_str(),
+                   range.c_str(), text.c_str()));
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
 }
 
 // The dataset-derived state every model generation is rebuilt from (same
@@ -228,8 +258,10 @@ int main(int argc, char** argv) {
   if (!LoadWorkspace(dir, seed, &ws)) return 1;
 
   serve::ServeConfig config;
-  config.workers = std::atoi(FlagOr(flags, "workers", "2").c_str());
-  config.queue_depth = std::atoi(FlagOr(flags, "queue", "64").c_str());
+  if (!IntFlag(flags, "workers", "2", 1, INT_MAX, &config.workers) ||
+      !IntFlag(flags, "queue", "64", 1, INT_MAX, &config.queue_depth)) {
+    return 1;
+  }
   const std::string overload = FlagOr(flags, "overload", "shed");
   if (overload == "reject") {
     config.overload = serve::ServeConfig::OverloadPolicy::kReject;
@@ -262,18 +294,21 @@ int main(int argc, char** argv) {
       std::strtoull(FlagOr(flags, "deadline", "0").c_str(), nullptr, 10);
   config.backoff.max_retries =
       std::atoi(FlagOr(flags, "retries", "0").c_str());
-  config.reload_retries =
-      std::atoi(FlagOr(flags, "reload-retries", "0").c_str());
+  if (!IntFlag(flags, "reload-retries", "0", 0, INT_MAX,
+               &config.reload_retries)) {
+    return 1;
+  }
   if (flags.count("breaker") != 0) {
     config.breaker.enabled = true;
-    config.breaker.window =
-        std::atoi(FlagOr(flags, "breaker-window", "16").c_str());
-    config.breaker.threshold =
-        std::atoi(FlagOr(flags, "breaker-threshold", "8").c_str());
-    config.breaker.open_ticks = std::strtoull(
-        FlagOr(flags, "breaker-open", "32").c_str(), nullptr, 10);
-    config.breaker.probes =
-        std::atoi(FlagOr(flags, "breaker-probes", "2").c_str());
+    serve::BreakerConfig& b = config.breaker;
+    if (!IntFlag(flags, "breaker-window", "16", 1, INT_MAX, &b.window) ||
+        !IntFlag(flags, "breaker-threshold", "8", 1, b.window,
+                 &b.threshold) ||
+        !IntFlag(flags, "breaker-probes", "2", 1, INT_MAX, &b.probes)) {
+      return 1;
+    }
+    b.open_ticks = std::strtoull(FlagOr(flags, "breaker-open", "32").c_str(),
+                                 nullptr, 10);
   }
   config.supervise = flags.count("no-supervise") == 0;
 
