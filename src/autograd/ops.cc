@@ -329,17 +329,11 @@ TensorPtr GatherRows(Tape* tape, const TensorPtr& table,
   // Touched rows are recorded at backward time, not forward time: rows only
   // matter to the optimizer once they carry gradient, and keeping the
   // forward pass free of shared-state writes is what lets no-tape inference
-  // and parallel shard forwards run concurrently.
+  // and parallel shard forwards run concurrently. Under an active GradShard
+  // the rows go to its compact per-row gradients (grad_shard.h).
   tape->Record([table, out, row_ids, touched_rows]() {
-    Matrix& tg = table->grad();
-    const Matrix& g = out->grad();
-    for (size_t i = 0; i < row_ids.size(); ++i) {
-      float* dst = tg.RowPtr(row_ids[i]);
-      const float* src = g.RowPtr(static_cast<int>(i));
-      for (int c = 0; c < g.cols(); ++c) dst[c] += src[c];
-    }
-    if (touched_rows != nullptr)
-      GradShard::RecordTouchedRows(touched_rows, row_ids);
+    GradShard::AccumulateRows(table.get(), touched_rows, row_ids,
+                              out->grad());
   });
   return out;
 }

@@ -46,7 +46,7 @@ TensorPtr ConcatRows(Tape* tape, const std::vector<TensorPtr>& parts);
 TensorPtr SliceRows(Tape* tape, const TensorPtr& x, int start, int count);
 
 // Embedding lookup: one output row per id in `row_ids`. If `touched_rows` is
-// non-null, the forward pass inserts every id into it (used by sparse
+// non-null, the backward pass inserts every id into it (used by sparse
 // optimizers to restrict their update to touched embedding rows).
 TensorPtr GatherRows(Tape* tape, const TensorPtr& table,
                      const std::vector<int>& row_ids,

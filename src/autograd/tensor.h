@@ -50,8 +50,10 @@ class Tensor {
 
   // Gradient storage, allocated (zeroed, same shape as value) on first use.
   // When a GradShard (autograd/grad_shard.h) is active on the calling thread
-  // and this tensor is registered with it, resolves to the shard-local
+  // and this dense tensor is registered with it, resolves to the shard-local
   // buffer instead — the hook behind lock-free sharded minibatch training.
+  // A registered sparse tensor dies here: under a shard its gradient lives
+  // in compact rows.
   tensor::Matrix& grad();
   const tensor::Matrix& grad_view() const { return grad_; }
   bool has_grad() const { return grad_.SameShape(value_); }

@@ -73,12 +73,16 @@ double Rng::NextGaussian(double mean, double stddev) {
 bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
 int Rng::NextWeighted(const std::vector<double>& weights) {
-  GROUPSA_CHECK(!weights.empty(), "NextWeighted requires weights");
   double total = 0.0;
   for (double w : weights) {
     GROUPSA_DCHECK(w >= 0.0, "weights must be non-negative");
     total += w;
   }
+  return NextWeighted(weights, total);
+}
+
+int Rng::NextWeighted(const std::vector<double>& weights, double total) {
+  GROUPSA_CHECK(!weights.empty(), "NextWeighted requires weights");
   GROUPSA_CHECK(total > 0.0, "weights must have positive sum");
   double r = NextDouble() * total;
   for (size_t i = 0; i < weights.size(); ++i) {

@@ -37,6 +37,10 @@ class Rng {
   // Samples an index in [0, weights.size()) with probability proportional to
   // weights[i]. Weights must be non-negative with a positive sum.
   int NextWeighted(const std::vector<double>& weights);
+  // The same draw with the sum precomputed, for weights sampled many times:
+  // `total` must be the weights summed in index order, exactly as the
+  // one-argument form sums them, so both forms draw the same index.
+  int NextWeighted(const std::vector<double>& weights, double total);
 
   // Fisher-Yates shuffle.
   template <typename T>

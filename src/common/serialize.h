@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -13,9 +14,11 @@ namespace groupsa {
 // Little-endian append-only byte buffer used to build checkpoint sections in
 // memory before they hit disk. Keeping serialization off the FILE* means a
 // section is either fully present (with a matching CRC) or absent — there is
-// no half-written in-memory state to reason about.
+// no half-written in-memory state to reason about. A writer that knows its
+// final size reserves it up front, so the payload is one allocation.
 class ByteWriter {
  public:
+  void Reserve(size_t n) { bytes_.reserve(n); }
   void WriteU32(uint32_t v) { Append(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { Append(&v, sizeof(v)); }
   void WriteI64(int64_t v) { Append(&v, sizeof(v)); }
@@ -27,9 +30,13 @@ class ByteWriter {
     WriteU32(static_cast<uint32_t>(s.size()));
     Append(s.data(), s.size());
   }
-  // Appends raw bytes with no length prefix (pre-framed payloads).
-  void WriteRaw(const std::string& s) { Append(s.data(), s.size()); }
+  // Overwrites the u32 at byte `offset`, written earlier as a placeholder
+  // (e.g. a CRC over bytes that follow it).
+  void PatchU32(size_t offset, uint32_t v) {
+    std::memcpy(bytes_.data() + offset, &v, sizeof(v));
+  }
 
+  size_t size() const { return bytes_.size(); }
   const std::string& bytes() const { return bytes_; }
   std::string Release() { return std::move(bytes_); }
 
@@ -47,7 +54,7 @@ class ByteReader {
  public:
   ByteReader(const void* data, size_t len)
       : data_(static_cast<const char*>(data)), len_(len) {}
-  explicit ByteReader(const std::string& bytes)
+  explicit ByteReader(std::string_view bytes)
       : ByteReader(bytes.data(), bytes.size()) {}
 
   bool ReadU32(uint32_t* v) { return Copy(v, sizeof(*v)); }
@@ -65,13 +72,6 @@ class ByteReader {
     return true;
   }
 
-  // Copies `n` raw bytes (no length prefix) into `s`.
-  bool ReadRaw(size_t n, std::string* s) {
-    if (n > Remaining()) return false;
-    s->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
   // Advances past `n` bytes without copying.
   bool Skip(size_t n) {
     if (n > Remaining()) return false;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "analysis/graph_lint.h"
 #include "autograd/ops.h"
@@ -178,7 +180,7 @@ Trainer::EpochStats Trainer::RunShardedEpoch(int num_samples,
       }
     });
     // Deterministic merge: shard order, on this thread. ReduceInto also
-    // re-zeroes each sink's buffers (touched rows only for embeddings).
+    // leaves each sink clean (embeddings: compact touched rows only).
     for (int s = 0; s < num_shards; ++s)
       shard_ctx_[static_cast<size_t>(s)]->sink->ReduceInto();
 
@@ -430,10 +432,10 @@ Status Trainer::ResumeFrom(const std::string& path) {
   nn::CheckpointReader reader;
   GROUPSA_RETURN_IF_ERROR_CTX(nn::CheckpointReader::Read(path, &reader),
                               "resume from " + path);
-  const std::string* params = reader.Find("params");
-  const std::string* adam = reader.Find("adam");
-  const std::string* trainer = reader.Find("trainer");
-  if (params == nullptr || adam == nullptr || trainer == nullptr) {
+  const std::optional<std::string_view> params = reader.Find("params");
+  const std::optional<std::string_view> adam = reader.Find("adam");
+  const std::optional<std::string_view> trainer = reader.Find("trainer");
+  if (!params.has_value() || !adam.has_value() || !trainer.has_value()) {
     return Status::Error(
         "not a training snapshot (params/adam/trainer section missing): " +
         path);

@@ -178,12 +178,19 @@ SyntheticWorld GenerateWorld(const SyntheticWorldConfig& config) {
     }
     return w;
   };
+  // Each topic's popularity weights and their total, built once: the pools
+  // are fixed from here on and are drawn from hundreds of thousands of times.
+  std::vector<std::vector<double>> topic_item_w(topics);
+  std::vector<double> topic_item_total(topics, 0.0);
+  for (int k = 0; k < topics; ++k) {
+    for (const ItemId v : topic_items[k]) {
+      topic_item_w[k].push_back(world.item_popularity[v]);
+      topic_item_total[k] += world.item_popularity[v];
+    }
+  }
   auto sample_item_in_topic = [&](int k, Rng* r) {
-    const auto& pool = topic_items[k];
-    std::vector<double> w(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i)
-      w[i] = world.item_popularity[pool[i]];
-    return pool[r->NextWeighted(w)];
+    return topic_items[k][r->NextWeighted(topic_item_w[k],
+                                          topic_item_total[k])];
   };
 
   // 4. Social network: homophilous degree-targeted edges.

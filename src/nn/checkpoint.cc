@@ -1,7 +1,9 @@
 #include "nn/checkpoint.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -29,28 +31,52 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-// Writes `bytes` in chunks, consulting the "checkpoint.write" failpoint per
-// chunk so fault-injection tests can produce genuinely partial files.
-Status WriteChunked(std::FILE* f, const std::string& bytes,
-                    const std::string& path) {
-  for (size_t off = 0; off < bytes.size(); off += kWriteChunk) {
-    const size_t n = std::min(kWriteChunk, bytes.size() - off);
+// Streams a file through one kWriteChunk buffer while folding every byte
+// into the running file CRC. Each full buffer, and the final partial one,
+// is written as one chunk that consults the "checkpoint.write" failpoint,
+// so fault-injection tests can produce genuinely partial files and chunks
+// fall at every kWriteChunk offset of the file.
+class ChunkWriter {
+ public:
+  ChunkWriter(std::FILE* f, const std::string& path) : f_(f), path_(path) {
+    buffer_.reserve(kWriteChunk);
+  }
+
+  Status Append(std::string_view bytes) {
+    crc_ = Crc32::Update(crc_, bytes.data(), bytes.size());
+    while (!bytes.empty()) {
+      const size_t n = std::min(kWriteChunk - buffer_.size(), bytes.size());
+      buffer_.append(bytes.data(), n);
+      bytes.remove_prefix(n);
+      if (buffer_.size() == kWriteChunk) GROUPSA_RETURN_IF_ERROR(Flush());
+    }
+    return Status::Ok();
+  }
+
+  // CRC of every byte appended so far.
+  uint32_t crc() const { return Crc32::Finalize(crc_); }
+
+  // Writes the buffered bytes as one chunk.
+  Status Flush() {
+    if (buffer_.empty()) return Status::Ok();
     const failpoint::Action action = GROUPSA_FAILPOINT("checkpoint.write");
     if (action == failpoint::Action::kError)
-      return Status::Error("injected write failure: " + path);
-    if (action == failpoint::Action::kCorrupt) {
-      // Flip one bit of this chunk: the CRC tiers must catch it at load.
-      std::string corrupted = bytes.substr(off, n);
-      corrupted[corrupted.size() / 2] ^= 0x10;
-      if (std::fwrite(corrupted.data(), 1, n, f) != n)
-        return Status::Error("write failed: " + path);
-      continue;
-    }
-    if (std::fwrite(bytes.data() + off, 1, n, f) != n)
-      return Status::Error("write failed: " + path);
+      return Status::Error("injected write failure: " + path_);
+    // Flip one bit of this chunk: the CRC tiers must catch it at load.
+    if (action == failpoint::Action::kCorrupt)
+      buffer_[buffer_.size() / 2] ^= 0x10;
+    if (std::fwrite(buffer_.data(), 1, buffer_.size(), f_) != buffer_.size())
+      return Status::Error("write failed: " + path_);
+    buffer_.clear();
+    return Status::Ok();
   }
-  return Status::Ok();
-}
+
+ private:
+  std::FILE* f_;
+  std::string path_;
+  std::string buffer_;
+  uint32_t crc_ = Crc32::kInit;
+};
 
 }  // namespace
 
@@ -60,29 +86,34 @@ void CheckpointWriter::AddSection(const std::string& name,
 }
 
 Status CheckpointWriter::Commit(const std::string& path) const {
-  // Assemble the whole file in memory first: the on-disk write is then a
-  // single sequential pass whose only interleavings are torn prefixes, all
-  // of which the trailer CRC rejects.
-  ByteWriter out;
-  out.WriteU32(kMagicV2);
-  out.WriteU32(kVersion);
-  out.WriteU32(static_cast<uint32_t>(sections_.size()));
-  for (const auto& [name, payload] : sections_) {
-    out.WriteString(name);
-    out.WriteU64(payload.size());
-    out.WriteU32(Crc32Of(payload.data(), payload.size()));
-    out.WriteRaw(payload);
-  }
-  const uint32_t file_crc = Crc32Of(out.bytes().data(), out.bytes().size());
-  out.WriteU32(file_crc);
-  const std::string bytes = out.Release();
-
   const std::string tmp = path + ".tmp";
   {
     FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (f == nullptr)
       return Status::Error("cannot open for write: " + tmp);
-    if (Status s = WriteChunked(f.get(), bytes, tmp); !s.ok()) {
+    ChunkWriter out(f.get(), tmp);
+    // Header, then each section's directory entry and payload, then the
+    // trailer CRC over every preceding byte.
+    auto write_file = [&]() -> Status {
+      ByteWriter header;
+      header.WriteU32(kMagicV2);
+      header.WriteU32(kVersion);
+      header.WriteU32(static_cast<uint32_t>(sections_.size()));
+      GROUPSA_RETURN_IF_ERROR(out.Append(header.bytes()));
+      for (const auto& [name, payload] : sections_) {
+        ByteWriter entry;
+        entry.WriteString(name);
+        entry.WriteU64(payload.size());
+        entry.WriteU32(Crc32Of(payload.data(), payload.size()));
+        GROUPSA_RETURN_IF_ERROR(out.Append(entry.bytes()));
+        GROUPSA_RETURN_IF_ERROR(out.Append(payload));
+      }
+      ByteWriter trailer;
+      trailer.WriteU32(out.crc());
+      GROUPSA_RETURN_IF_ERROR(out.Append(trailer.bytes()));
+      return out.Flush();
+    };
+    if (Status s = write_file(); !s.ok()) {
       std::remove(tmp.c_str());
       return s;
     }
@@ -113,15 +144,12 @@ Status CheckpointWriter::Commit(const std::string& path) const {
 Status CheckpointReader::Read(const std::string& path, CheckpointReader* out) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return Status::Error("cannot open for read: " + path);
-  std::string bytes;
-  {
-    char buf[64 * 1024];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0)
-      bytes.append(buf, n);
-    if (std::ferror(f.get()))
-      return Status::Error("read failed: " + path);
-  }
+  struct stat st {};
+  if (fstat(fileno(f.get()), &st) != 0)
+    return Status::Error("cannot stat: " + path);
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  if (std::fread(bytes.data(), 1, bytes.size(), f.get()) != bytes.size())
+    return Status::Error("read failed: " + path);
   // Trailer CRC first: a file whose every byte is accounted for cannot be a
   // torn prefix, so all further parsing works on verified data.
   if (bytes.size() < 4 * sizeof(uint32_t))
@@ -155,67 +183,78 @@ Status CheckpointReader::Read(const std::string& path, CheckpointReader* out) {
   if (!reader.ReadU32(&num_sections))
     return Status::Error("truncated checkpoint header: " + path);
 
-  std::vector<std::pair<std::string, std::string>> sections;
+  std::vector<Section> sections;
   for (uint32_t i = 0; i < num_sections; ++i) {
-    std::string name;
+    Section section;
     uint64_t payload_len = 0;
     uint32_t payload_crc = 0;
-    if (!reader.ReadString(&name) || !reader.ReadU64(&payload_len) ||
+    if (!reader.ReadString(&section.name) || !reader.ReadU64(&payload_len) ||
         !reader.ReadU32(&payload_crc) || payload_len > reader.Remaining()) {
       return Status::Error(
           StrFormat("truncated section directory (section %u): %s", i,
                     path.c_str()));
     }
-    std::string payload;
-    if (!reader.ReadRaw(payload_len, &payload))
+    section.offset = reader.Position();
+    section.size = static_cast<size_t>(payload_len);
+    reader.Skip(section.size);  // bounds already checked above
+    if (Crc32Of(bytes.data() + section.offset, section.size) != payload_crc)
       return Status::Error(
-          StrFormat("truncated section payload '%s': %s", name.c_str(),
+          StrFormat("section '%s' CRC mismatch: %s", section.name.c_str(),
                     path.c_str()));
-    if (Crc32Of(payload.data(), payload.size()) != payload_crc)
-      return Status::Error(
-          StrFormat("section '%s' CRC mismatch: %s", name.c_str(),
-                    path.c_str()));
-    sections.emplace_back(std::move(name), std::move(payload));
+    sections.push_back(std::move(section));
   }
+  out->bytes_ = std::move(bytes);
   out->sections_ = std::move(sections);
   return Status::Ok();
 }
 
 bool CheckpointReader::Has(const std::string& name) const {
-  return Find(name) != nullptr;
+  return Find(name).has_value();
 }
 
-const std::string* CheckpointReader::Find(const std::string& name) const {
-  for (const auto& [section_name, payload] : sections_)
-    if (section_name == name) return &payload;
-  return nullptr;
+std::optional<std::string_view> CheckpointReader::Find(
+    const std::string& name) const {
+  for (const Section& section : sections_)
+    if (section.name == name)
+      return std::string_view(bytes_).substr(section.offset, section.size);
+  return std::nullopt;
 }
 
 std::string EncodeParameters(const std::vector<ParamEntry>& params) {
+  // Record: u32 crc, u64 len, then len bytes of name, shape and data.
+  auto record_len = [](const ParamEntry& p) {
+    return sizeof(uint32_t) + p.name.size() + 2 * sizeof(uint32_t) +
+           sizeof(float) * static_cast<size_t>(p.tensor->value().size());
+  };
+  size_t total = sizeof(uint32_t);
+  for (const ParamEntry& p : params)
+    total += sizeof(uint32_t) + sizeof(uint64_t) + record_len(p);
+
   ByteWriter out;
+  out.Reserve(total);
   out.WriteU32(static_cast<uint32_t>(params.size()));
   for (const ParamEntry& p : params) {
     const tensor::Matrix& m = p.tensor->value();
-    ByteWriter record;
-    record.WriteString(p.name);
-    record.WriteU32(static_cast<uint32_t>(m.rows()));
-    record.WriteU32(static_cast<uint32_t>(m.cols()));
-    record.WriteFloats(m.data(), static_cast<size_t>(m.size()));
-    const std::string& bytes = record.bytes();
-    out.WriteU32(Crc32Of(bytes.data(), bytes.size()));
-    out.WriteU64(bytes.size());
-    out.WriteRaw(bytes);
+    const size_t crc_at = out.size();
+    out.WriteU32(0);  // patched below, once the record is written
+    out.WriteU64(record_len(p));
+    const size_t record_at = out.size();
+    out.WriteString(p.name);
+    out.WriteU32(static_cast<uint32_t>(m.rows()));
+    out.WriteU32(static_cast<uint32_t>(m.cols()));
+    out.WriteFloats(m.data(), static_cast<size_t>(m.size()));
+    out.PatchU32(crc_at, Crc32Of(out.bytes().data() + record_at,
+                                 out.size() - record_at));
   }
   return out.Release();
 }
 
 Status DecodeParameters(const std::vector<ParamEntry>& params,
-                        const std::string& payload) {
+                        std::string_view payload) {
   ByteReader reader(payload);
   uint32_t count = 0;
   if (!reader.ReadU32(&count))
     return Status::Error("truncated params section");
-
   std::unordered_map<std::string, const ParamEntry*> by_name;
   for (const ParamEntry& p : params) by_name[p.name] = &p;
 
@@ -225,8 +264,12 @@ Status DecodeParameters(const std::vector<ParamEntry>& params,
     const ParamEntry* entry;
     tensor::Matrix value;
   };
+  // The count comes from the file, so nothing is sized by it. A count above
+  // the model's fails at the first record past the model's parameters,
+  // which cannot be a new known name (duplicate, unknown or truncated); a
+  // smaller one fails below, naming the missing parameters.
   std::vector<Staged> staged;
-  staged.reserve(count);
+  staged.reserve(params.size());
   std::unordered_map<std::string, bool> seen;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t record_crc = 0;
@@ -278,6 +321,8 @@ Status DecodeParameters(const std::vector<ParamEntry>& params,
     }
     staged.push_back({it->second, std::move(value)});
   }
+  if (!reader.AtEnd())
+    return Status::Error("trailing bytes in params section");
   if (staged.size() != params.size()) {
     std::vector<std::string> missing;
     for (const ParamEntry& p : params)
@@ -305,8 +350,8 @@ Status LoadParameters(const std::vector<ParamEntry>& params,
   CheckpointReader reader;
   GROUPSA_RETURN_IF_ERROR_CTX(CheckpointReader::Read(path, &reader),
                               "load checkpoint " + path);
-  const std::string* payload = reader.Find("params");
-  if (payload == nullptr)
+  const std::optional<std::string_view> payload = reader.Find("params");
+  if (!payload.has_value())
     return Status::Error("checkpoint has no params section: " + path);
   return DecodeParameters(params, *payload)
       .WithContext("load checkpoint " + path);

@@ -1,7 +1,9 @@
 #ifndef GROUPSA_NN_CHECKPOINT_H_
 #define GROUPSA_NN_CHECKPOINT_H_
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,12 @@ namespace groupsa::nn {
 // complete new one — never a mix. Stale ".tmp" files from a killed writer
 // are overwritten by the next Commit.
 //
+// Memory: a save holds one encoded copy of each section (EncodeParameters
+// and Adam::SerializeState build theirs in one exact-size allocation) plus
+// one 64 KiB write buffer; the file is never assembled in memory. A load
+// holds the file once, and DecodeParameters the staged tensors its
+// all-or-nothing contract needs.
+//
 // Failpoints (common/failpoint.h) for fault-injection tests and CI:
 //   "checkpoint.write"   hit once per 64 KiB chunk written; error = the
 //                        write fails (ENOSPC mid-file), corrupt = one bit
@@ -47,8 +55,10 @@ class CheckpointWriter {
   // Adds a named section. Section names must be unique per file.
   void AddSection(const std::string& name, std::string payload);
 
-  // Atomically writes the assembled file to `path` (tmp -> fsync -> rename).
-  // On any failure the previous file at `path` is untouched.
+  // Atomically writes the file to `path` (tmp -> fsync -> rename), streaming
+  // header, sections and trailer through one 64 KiB buffer: each full
+  // buffer is one "checkpoint.write" chunk. On any failure the previous
+  // file at `path` is untouched.
   Status Commit(const std::string& path) const;
 
  private:
@@ -57,27 +67,38 @@ class CheckpointWriter {
 
 // Reads and fully verifies a v2 checkpoint: file CRC, header, section
 // directory, per-section CRCs. A v1 file (magic "GSPA") or any corruption is
-// rejected with a descriptive Status and nothing is exposed.
+// rejected with a descriptive Status and nothing is exposed. The file is
+// read once, at its fstat size, into one buffer the sections are views of.
 class CheckpointReader {
  public:
   static Status Read(const std::string& path, CheckpointReader* out);
 
   bool Has(const std::string& name) const;
-  // Null when the section is absent.
-  const std::string* Find(const std::string& name) const;
+  // The section's payload, a view into this reader's buffer (valid while
+  // the reader lives and is not re-read); empty when the section is absent.
+  std::optional<std::string_view> Find(const std::string& name) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> sections_;
+  // Offsets, not pointers, into bytes_: moving the reader moves the buffer
+  // and leaves nothing dangling.
+  struct Section {
+    std::string name;
+    size_t offset = 0;
+    size_t size = 0;
+  };
+  std::string bytes_;
+  std::vector<Section> sections_;
 };
 
 // Parameter-section codec. EncodeParameters lays out count + per-parameter
 // records (name, shape, float data, record CRC32). DecodeParameters stages
-// every tensor first and commits all-or-nothing: on any error — unknown
-// name, shape mismatch, truncated record, CRC failure, a NaN or Inf value,
-// missing parameters — the live model is left bit-for-bit untouched.
+// every tensor first and commits all-or-nothing: on any error — a record
+// count above the model's, unknown name, shape mismatch, truncated record,
+// CRC failure, a NaN or Inf value, missing parameters, trailing bytes —
+// the live model is left bit-for-bit untouched.
 std::string EncodeParameters(const std::vector<ParamEntry>& params);
 Status DecodeParameters(const std::vector<ParamEntry>& params,
-                        const std::string& payload);
+                        std::string_view payload);
 
 // Whole-model convenience wrappers over a single-"params"-section v2 file.
 Status SaveParameters(const std::vector<ParamEntry>& params,

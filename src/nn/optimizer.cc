@@ -106,7 +106,16 @@ void Adam::Step() {
 }
 
 std::string Adam::SerializeState() const {
+  size_t total = sizeof(uint32_t);
+  for (size_t i = 0; i < params_.size(); ++i) {
+    total += sizeof(uint32_t) + params_[i].name.size() +
+             2 * sizeof(uint32_t) +
+             2 * sizeof(float) * static_cast<size_t>(m_[i].size()) +
+             sizeof(int64_t) + sizeof(uint32_t) +
+             sizeof(int64_t) * row_step_[i].size();
+  }
   ByteWriter out;
+  out.Reserve(total);
   out.WriteU32(static_cast<uint32_t>(params_.size()));
   for (size_t i = 0; i < params_.size(); ++i) {
     out.WriteString(params_[i].name);
@@ -121,7 +130,7 @@ std::string Adam::SerializeState() const {
   return out.Release();
 }
 
-Status Adam::RestoreState(const std::string& payload) {
+Status Adam::RestoreState(std::string_view payload) {
   ByteReader reader(payload);
   uint32_t count = 0;
   if (!reader.ReadU32(&count))

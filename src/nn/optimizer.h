@@ -2,6 +2,7 @@
 #define GROUPSA_NN_OPTIMIZER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -75,11 +76,12 @@ class Adam : public Optimizer {
   // Serializes the full optimizer state — first/second moments and the
   // dense and per-row step counters — for crash-safe training snapshots
   // (core/trainer.h). Restoring into an Adam built over the same parameter
-  // list resumes updates bit-identically to an uninterrupted run.
+  // list resumes updates bit-identically to an uninterrupted run. The
+  // payload is built in one exact-size allocation.
   std::string SerializeState() const;
   // All-or-nothing: validates the payload (parameter count, shapes) before
   // touching any live state.
-  Status RestoreState(const std::string& payload);
+  Status RestoreState(std::string_view payload);
 
  private:
   float beta1_;

@@ -10,7 +10,8 @@
 
 namespace groupsa::core::testing {
 
-// A tiny world plus everything needed to construct models and trainers.
+// A tiny world (or, given its config, any other) plus everything needed to
+// construct models and trainers.
 struct TinyFixture {
   data::SyntheticWorld world;
   data::Split ui;
@@ -19,9 +20,11 @@ struct TinyFixture {
   data::InteractionMatrix gi_train;
   ModelData model_data;
 
-  static TinyFixture Make(const GroupSaConfig& config, uint64_t seed = 5) {
+  static TinyFixture Make(const GroupSaConfig& config, uint64_t seed = 5,
+                          const data::SyntheticWorldConfig& world_config =
+                              data::SyntheticWorldConfig::Tiny()) {
     TinyFixture f;
-    f.world = data::GenerateWorld(data::SyntheticWorldConfig::Tiny());
+    f.world = data::GenerateWorld(world_config);
     Rng rng(seed);
     f.ui = data::SplitEdges(f.world.dataset.user_item, 0.2, 0.0, &rng);
     f.gi = data::GlobalSplitEdges(f.world.dataset.group_item, 0.2, 0.0, &rng);

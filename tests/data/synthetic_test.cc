@@ -139,6 +139,81 @@ TEST(SyntheticWorldTest, GroupsAreSociallyConnectedMostly) {
   EXPECT_GT(static_cast<double>(connected) / total, 0.5);
 }
 
+uint64_t Fnv1a(const void* data, size_t len, uint64_t h) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+uint64_t EdgesDigest(const EdgeList& edges) {
+  return Fnv1a(edges.data(), edges.size() * sizeof(Edge), kFnvBasis);
+}
+
+// Each row's length, then its ids, so a shifted row boundary shows.
+template <typename RowFn>
+uint64_t RowsDigest(int num_rows, const RowFn& row) {
+  uint64_t h = kFnvBasis;
+  for (int r = 0; r < num_rows; ++r) {
+    const std::vector<UserId>& ids = row(r);
+    const uint64_t n = ids.size();
+    h = Fnv1a(&n, sizeof(n), h);
+    h = Fnv1a(ids.data(), ids.size() * sizeof(UserId), h);
+  }
+  return h;
+}
+
+// Pins every observable edge of four world shapes: the two presets, the
+// unit-test world and perfbench's cold_adhoc_5k shape (5,000 items x 50,000
+// users x 100 groups, the largest topic pools). A faster generator must
+// reproduce these bits; a deliberate change re-pins them from the printed
+// values.
+TEST(SyntheticWorldTest, WorldBitsArePinned) {
+  struct Pin {
+    const char* name;
+    SyntheticWorldConfig config;
+    uint64_t user_item, group_item, social, members;
+  };
+  SyntheticWorldConfig cold;
+  cold.num_items = 5000;
+  cold.num_users = 50000;
+  cold.num_groups = 100;
+  const Pin pins[] = {
+      {"Tiny", SyntheticWorldConfig::Tiny(), 0xc9d5aeb4e2cf72e1ULL,
+       0x922f654126a5c938ULL, 0x8f0d24cde7f206a3ULL, 0x0b9944ad458abb6cULL},
+      {"YelpLike", SyntheticWorldConfig::YelpLike(), 0x514c26bf34b441c3ULL,
+       0x81964270456cdcdeULL, 0xca75561ceba65f08ULL, 0xe61d20c0fe4e022bULL},
+      {"DoubanEventLike", SyntheticWorldConfig::DoubanEventLike(),
+       0x355e55b800157eb7ULL, 0x68064b5b4eef956dULL, 0x3584dd34f54de710ULL,
+       0x0056dba034120c78ULL},
+      {"5000x50000x100", cold, 0x2d3865ec7ff68ceeULL, 0x1b41187c3497ae0cULL,
+       0x3514e65198bab651ULL, 0xb0d0a966bb2b6812ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const SyntheticWorld world = GenerateWorld(pin.config);
+    const Dataset& d = world.dataset;
+    const uint64_t user_item = EdgesDigest(d.user_item);
+    const uint64_t group_item = EdgesDigest(d.group_item);
+    const uint64_t social = RowsDigest(
+        d.num_users, [&](int u) -> const std::vector<UserId>& {
+          return d.social.Neighbors(u);
+        });
+    const uint64_t members = RowsDigest(
+        d.groups.num_groups(), [&](int g) -> const std::vector<UserId>& {
+          return d.groups.Members(g);
+        });
+    EXPECT_EQ(user_item, pin.user_item) << std::hex << "0x" << user_item;
+    EXPECT_EQ(group_item, pin.group_item) << std::hex << "0x" << group_item;
+    EXPECT_EQ(social, pin.social) << std::hex << "0x" << social;
+    EXPECT_EQ(members, pin.members) << std::hex << "0x" << members;
+  }
+}
+
 TEST(SyntheticWorldTest, PresetsHaveDistinctShapes) {
   const auto yelp = SyntheticWorldConfig::YelpLike();
   const auto douban = SyntheticWorldConfig::DoubanEventLike();

@@ -200,6 +200,44 @@ TEST(CheckpointTest, NonFiniteValueRejectedAndModelUntouched) {
   }
 }
 
+// The record count comes from the file: a CRC-valid params section of just
+// ff ff ff ff claims 2^32 - 1 records and must fail with a Status, not size
+// anything by that count.
+TEST(CheckpointTest, RecordCountBeyondModelRejected) {
+  Rng rng(24);
+  Mlp layer("m", {3, 4, 2}, &rng);
+  CheckpointWriter writer;
+  writer.AddSection("params", std::string(4, '\xff'));
+  const std::string path = TempPath("ckpt_huge_count.bin");
+  ASSERT_TRUE(writer.Commit(path).ok());
+  const auto before = SnapshotValues(layer.Parameters());
+  const Status s = LoadParameters(layer.Parameters(), path);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("parameter record 0 of 4294967295"),
+            std::string::npos)
+      << s.message();
+  EXPECT_TRUE(ValuesEqual(layer.Parameters(), before));
+}
+
+// Bytes after the last record are not silently ignored (the adam section
+// already rejects them).
+TEST(CheckpointTest, TrailingBytesAfterLastRecordRejected) {
+  Rng rng(25);
+  Mlp source("m", {3, 4, 2}, &rng);
+  CheckpointWriter writer;
+  writer.AddSection("params", EncodeParameters(source.Parameters()) + "tail");
+  const std::string path = TempPath("ckpt_trailing.bin");
+  ASSERT_TRUE(writer.Commit(path).ok());
+  Rng rng2(26);
+  Mlp dest("m", {3, 4, 2}, &rng2);
+  const auto before = SnapshotValues(dest.Parameters());
+  const Status s = LoadParameters(dest.Parameters(), path);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("trailing bytes"), std::string::npos)
+      << s.message();
+  EXPECT_TRUE(ValuesEqual(dest.Parameters(), before));
+}
+
 TEST(CheckpointTest, GarbageFileRejectedByFileCrc) {
   const std::string path = TempPath("ckpt_garbage.bin");
   WriteFile(path, "this is definitely not a checkpoint file at all");
@@ -337,6 +375,100 @@ TEST(CheckpointTest, InjectedBitCorruptionCaughtAtLoad) {
   const Status s = LoadParameters(layer.Parameters(), path);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("CRC"), std::string::npos);
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr size_t kChunk = 64 * 1024;
+
+// An embedding table plus a small MLP: a params section of ~220 KiB, so the
+// file spans four 64 KiB write chunks.
+struct MultiChunkModel {
+  explicit MultiChunkModel(uint64_t seed) : rng(seed) {}
+  Rng rng;
+  Embedding emb{"emb", /*count=*/700, /*dim=*/80, &rng};
+  Mlp mlp{"m", {3, 4, 2}, &rng};
+
+  std::vector<ParamEntry> Parameters() const {
+    std::vector<ParamEntry> all = emb.Parameters();
+    for (const ParamEntry& p : mlp.Parameters()) all.push_back(p);
+    return all;
+  }
+};
+
+// The on-disk format is a contract with every checkpoint already written:
+// the bytes of both writer entry points are pinned. A deliberate format
+// change re-pins from the printed values.
+TEST(CheckpointTest, FileBytesArePinned) {
+  const MultiChunkModel model(23);
+  const std::string saved = TempPath("ckpt_pinned_save.bin");
+  ASSERT_TRUE(SaveParameters(model.Parameters(), saved).ok());
+  const std::string save_bytes = ReadFile(saved);
+  EXPECT_EQ(save_bytes.size(), 224351u);
+  EXPECT_EQ(Fnv1a(save_bytes), 0x890b2c421c213ba8ULL) << std::hex << "0x" << Fnv1a(save_bytes);
+
+  CheckpointWriter writer;
+  writer.AddSection("params", EncodeParameters(model.mlp.Parameters()));
+  ByteWriter notes;
+  notes.WriteString("two-section file");
+  notes.WriteU64(0x0123456789abcdefULL);
+  writer.AddSection("notes", notes.Release());
+  const std::string two = TempPath("ckpt_pinned_two.bin");
+  ASSERT_TRUE(writer.Commit(two).ok());
+  const std::string two_bytes = ReadFile(two);
+  EXPECT_EQ(two_bytes.size(), 367u);
+  EXPECT_EQ(Fnv1a(two_bytes), 0x58503c0ecef3f65eULL) << std::hex << "0x" << Fnv1a(two_bytes);
+
+  CheckpointReader reader;
+  ASSERT_TRUE(CheckpointReader::Read(two, &reader).ok());
+  ASSERT_TRUE(reader.Has("notes"));
+  EXPECT_FALSE(reader.Has("adam"));
+}
+
+// "checkpoint.write" is hit once per 64 KiB chunk: a write error on the
+// last chunk fails the save, one hit later there is none left to fail.
+TEST(CheckpointTest, WriteFailpointHitsOncePerChunk) {
+  const MultiChunkModel model(23);
+  const std::string path = TempPath("ckpt_chunks.bin");
+  ASSERT_TRUE(SaveParameters(model.Parameters(), path).ok());
+  const std::string good = ReadFile(path);
+  const size_t chunks = (good.size() + kChunk - 1) / kChunk;
+  ASSERT_GE(chunks, 3u);
+
+  failpoint::Arm("checkpoint.write=error@" + std::to_string(chunks));
+  const Status last = SaveParameters(model.Parameters(), path);
+  failpoint::DisarmAll();
+  EXPECT_FALSE(last.ok());
+  EXPECT_NE(last.message().find("injected"), std::string::npos);
+  EXPECT_EQ(ReadFile(path), good);
+
+  failpoint::Arm("checkpoint.write=error@" + std::to_string(chunks + 1));
+  const Status past = SaveParameters(model.Parameters(), path);
+  failpoint::DisarmAll();
+  EXPECT_TRUE(past.ok()) << past.message();
+  EXPECT_EQ(ReadFile(path), good);
+
+  // A flipped bit in the middle of chunk 2 (payload bytes) reaches the disk
+  // and is caught by a CRC at load, leaving the model untouched.
+  failpoint::Arm("checkpoint.write=corrupt@2");
+  ASSERT_TRUE(SaveParameters(model.Parameters(), path).ok());
+  failpoint::DisarmAll();
+  const std::string corrupted = ReadFile(path);
+  ASSERT_EQ(corrupted.size(), good.size());
+  EXPECT_NE(corrupted, good);
+  const MultiChunkModel dest(24);
+  const auto before = SnapshotValues(dest.Parameters());
+  const Status s = LoadParameters(dest.Parameters(), path);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("CRC"), std::string::npos) << s.message();
+  EXPECT_TRUE(ValuesEqual(dest.Parameters(), before));
 }
 
 // Real process death in the middle of the on-disk write: the atomic

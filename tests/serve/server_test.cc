@@ -206,9 +206,10 @@ TEST_F(ServerTest, ReloadSwapsGenerationWithIdenticalScores) {
   EXPECT_EQ(rig.server->stats().reloads, 1);
 }
 
-// Two failed reloads: an injected build fault, then a CRC-valid checkpoint
-// holding one NaN in the item table. Neither swaps, and the old generation
-// keeps answering byte-identically.
+// Three failed reloads: an injected build fault, a CRC-valid checkpoint
+// holding one NaN in the item table, and one whose record count is
+// 2^32 - 1. None swaps, and the old generation keeps answering
+// byte-identically.
 TEST_F(ServerTest, FailedReloadKeepsTheOldGenerationServing) {
   ServeConfig sc;
   ServeRig rig(sc);
@@ -243,6 +244,20 @@ TEST_F(ServerTest, FailedReloadKeepsTheOldGenerationServing) {
       << s.message();
   EXPECT_EQ(rig.server->generation(), 1u);
 
+  // A CRC-valid checkpoint whose params section claims 2^32 - 1 records
+  // fails the reload instead of sizing anything by that count (which
+  // aborted the daemon with std::bad_alloc).
+  nn::CheckpointWriter huge_count;
+  huge_count.AddSection("params", std::string(4, '\xff'));
+  const std::string huge_path =
+      std::string(::testing::TempDir()) + "/serve_huge_count.ckpt";
+  ASSERT_TRUE(huge_count.Commit(huge_path).ok());
+  const Status huge = rig.server->Reload(huge_path);
+  EXPECT_FALSE(huge.ok());
+  EXPECT_NE(huge.message().find("of 4294967295"), std::string::npos)
+      << huge.message();
+  EXPECT_EQ(rig.server->generation(), 1u);
+
   for (size_t i = 0; i < probes.size(); ++i) {
     const Response r = rig.server->Call(probes[i]);
     EXPECT_FALSE(r.degraded);
@@ -253,7 +268,7 @@ TEST_F(ServerTest, FailedReloadKeepsTheOldGenerationServing) {
   rig.server->Stop();
   const ServerStats stats = rig.server->stats();
   EXPECT_EQ(stats.reloads, 0);
-  EXPECT_EQ(stats.failed_reloads, 2);
+  EXPECT_EQ(stats.failed_reloads, 3);
 }
 
 TEST_F(ServerTest, NullModelGenerationServesPopularityOnly) {

@@ -35,7 +35,8 @@
 #                 transcripts at 1x1 vs 4x4 workers/threads, extended
 #                 conservation, breaker trip + recovery) and the resilience
 #                 suite, each under both TSan and ASan
-#   asan          fault-labelled tests + tensor-pool suite under ASan
+#   asan          fault-labelled tests, tensor-pool, checkpoint, grad-shard
+#                 and serving suites under ASan
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
@@ -483,6 +484,12 @@ lane_asan() {
   # in the steady-state loop reads stale bytes or leaks escaped tensors.
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'TrainerPoolTest|TensorPoolTest'
+  echo "=== asan ctest (checkpoint I/O and compact shard gradients) ==="
+  # Checkpoint sections are views into one file buffer at computed offsets,
+  # and shard gradients are compact rows found through a per-row index;
+  # ASan checks both offset schemes (neither suite carries a label above).
+  ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
+    -R 'CheckpointTest|CheckpointCrashDeathTest|GradShardTest'
   echo "=== asan ctest (serving suite) ==="
   # The serving daemon's queue, degrade and reload paths under ASan: no
   # leaked promises, no use-after-free across generation swaps.
