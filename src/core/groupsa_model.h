@@ -42,6 +42,10 @@ class GroupSaModel : public nn::Module {
   const GroupSaConfig& config() const { return config_; }
   int num_users() const { return user_emb_->count(); }
   int num_items() const { return item_emb_->count(); }
+  // Groups in the model's group table (0 without one).
+  int num_groups() const {
+    return data_.groups == nullptr ? 0 : data_.groups->num_groups();
+  }
 
   // ---------------- Training-time graph builders ----------------
 

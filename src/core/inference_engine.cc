@@ -602,15 +602,8 @@ InferenceEngine::Ranking InferenceEngine::Retrieve(const Query& query,
 InferenceEngine::Ranking InferenceEngine::Recommend(
     QueryKind kind, const std::vector<int32_t>& ids, int k,
     const data::InteractionMatrix* exclude, const Plan& plan) {
-  SkipFn skip;
-  if (exclude != nullptr) {
-    skip = [exclude, &ids](data::ItemId item) {
-      for (int32_t row : ids)
-        if (exclude->Has(row, item)) return true;
-      return false;
-    };
-  }
-  return Retrieve(BuildQuery(kind, ids, plan.score), plan, k, skip);
+  return Retrieve(BuildQuery(kind, ids, plan.score), plan, k,
+                  SeenByAny(exclude, ids));
 }
 
 std::vector<double> InferenceEngine::ScoreRows(
@@ -1028,33 +1021,32 @@ InferenceEngine::Ranking InferenceEngine::RecommendForMembers(
 Status InferenceEngine::ValidateRequest(QueryKind kind,
                                         const std::vector<int32_t>& ids,
                                         int k) const {
-  const auto in_range = [](const char* what, int32_t id, int count) {
-    if (id >= 0 && id < count) return Status::Ok();
-    return Status::Error(
-        StrFormat("%s id %d out of range [0, %d)", what, id, count));
-  };
-  switch (kind) {
-    case QueryKind::kUser:
-      if (ids.size() != 1) return Status::Error("expected one user id");
-      GROUPSA_RETURN_IF_ERROR(in_range("user", ids[0], model_->num_users()));
-      break;
-    case QueryKind::kGroup: {
-      if (ids.size() != 1) return Status::Error("expected one group id");
-      const data::GroupTable* groups = model_->model_data().groups;
-      if (groups == nullptr) return Status::Error("model has no group table");
-      GROUPSA_RETURN_IF_ERROR(in_range("group", ids[0], groups->num_groups()));
-      break;
-    }
-    case QueryKind::kMembers:
-    case QueryKind::kMemberAverage:
-      if (ids.empty()) return Status::Error("empty member list");
-      for (data::UserId member : ids) {
-        GROUPSA_RETURN_IF_ERROR_CTX(
-            in_range("user", member, model_->num_users()), "member");
-      }
-      break;
+  return ValidateQuery(kind, ids, k, model_->num_users(),
+                       model_->num_groups());
+}
+
+Status ValidateQuery(QueryKind kind, const std::vector<int32_t>& ids, int k,
+                     int num_users, int num_groups) {
+  if (k < 1) return Status::Error(StrFormat("k must be >= 1 (got %d)", k));
+  if (kind == QueryKind::kUser || kind == QueryKind::kGroup) {
+    const bool user = kind == QueryKind::kUser;
+    const char* what = user ? "user" : "group";
+    if (ids.size() != 1)
+      return Status::Error(StrFormat("expected one %s id", what));
+    if (ids[0] < 0 || ids[0] >= (user ? num_users : num_groups))
+      return Status::Error(StrFormat("%s id %d out of range", what, ids[0]));
+    return Status::Ok();
   }
-  if (k < 1) return Status::Error(StrFormat("k must be positive, got %d", k));
+  if (ids.empty()) return Status::Error("members list is empty");
+  for (int32_t member : ids) {
+    if (member < 0 || member >= num_users)
+      return Status::Error(StrFormat("member id %d out of range", member));
+  }
+  std::vector<int32_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  if (dup != sorted.end())
+    return Status::Error(StrFormat("duplicate member id %d", *dup));
   return Status::Ok();
 }
 

@@ -24,6 +24,16 @@ namespace groupsa::core {
 // members' user scores.
 enum class QueryKind { kUser, kGroup, kMembers, kMemberAverage };
 
+// The one request rule set. `ids` holds the one user or group id for kUser /
+// kGroup and the member list for kMembers / kMemberAverage. A request needs
+// k >= 1, an id inside [0, num_users) or [0, num_groups), and a non-empty
+// list of distinct members inside [0, num_users); the first broken rule comes
+// back as the error. Every front end binds it to its id spaces:
+// InferenceEngine::ValidateRequest to the model's, serve::Server to its
+// constructor's.
+Status ValidateQuery(QueryKind kind, const std::vector<int32_t>& ids, int k,
+                     int num_users, int num_groups);
+
 // Batched, tape-free serving path for GroupSA (the production answer to the
 // paper's Sec. II-F speed concern).
 //
@@ -98,13 +108,11 @@ class InferenceEngine {
   Ranking RecommendForMembers(const std::vector<data::UserId>& members, int k,
                               const data::InteractionMatrix* exclude);
 
-  // The one validation boundary. The scorers and Recommend* entry points
-  // above are the trusted hot path (ids from the evaluator and trainer) and
-  // CHECK-abort on bad input; serving front ends call this first. `ids`
-  // holds the one user or group id for kUser / kGroup and the member list
-  // for kMembers / kMemberAverage. Out-of-range ids, an empty member list
-  // and a non-positive k come back as a descriptive error, leaving the
-  // process and caches intact.
+  // ValidateQuery bound to the model's id spaces. The scorers and
+  // Recommend* entry points above are the trusted hot path (ids from the
+  // evaluator and trainer) and CHECK-abort on bad input; a caller holding
+  // untrusted ids checks them here first, leaving the process and caches
+  // intact on an error.
   Status ValidateRequest(QueryKind kind, const std::vector<int32_t>& ids,
                          int k) const;
 

@@ -64,4 +64,22 @@ std::vector<data::ItemId> AllItems(int num_items) {
   return items;
 }
 
+std::function<bool(data::ItemId)> SeenByAny(
+    const data::InteractionMatrix* exclude, const std::vector<int32_t>& rows) {
+  if (exclude == nullptr) return nullptr;
+  return [exclude, &rows](data::ItemId item) {
+    for (int32_t row : rows)
+      if (exclude->Has(row, item)) return true;
+    return false;
+  };
+}
+
+std::vector<double> ItemCounts(const data::EdgeList& edges, int num_items) {
+  std::vector<double> counts(std::max(num_items, 0), 0.0);
+  for (const data::Edge& edge : edges) {
+    if (edge.item >= 0 && edge.item < num_items) counts[edge.item] += 1.0;
+  }
+  return counts;
+}
+
 }  // namespace groupsa::core

@@ -5,15 +5,17 @@
 #include <utility>
 #include <vector>
 
+#include "data/interaction_matrix.h"
 #include "data/types.h"
 
 namespace groupsa::core {
 
 // The single strict-total-order comparator behind every ranking path in the
 // library: higher score first, equal scores broken by ascending item id.
-// Exact scoring, IVF re-rank and probe selection all rank through this one
-// function, which is what lets tied scores come out byte-identical across
-// paths (and across the nth_element cut vs full-sort code paths below).
+// Exact scoring, IVF re-rank, probe selection and popularity answers all rank
+// through this one function, which is what lets tied scores come out
+// byte-identical across paths (and across the nth_element cut vs full-sort
+// code paths below).
 bool BetterRanked(const std::pair<data::ItemId, double>& a,
                   const std::pair<data::ItemId, double>& b);
 
@@ -41,6 +43,17 @@ std::vector<std::pair<data::ItemId, double>> TopKItems(
 // The 0..num_items-1 identity catalog used by every full-catalog ranking
 // entry point.
 std::vector<data::ItemId> AllItems(int num_items);
+
+// The seen-item filter of every recommendation: skips an item that any of
+// `rows` has observed in `exclude`. Null `exclude` gives a null filter (skip
+// nothing). `rows` must outlive the filter.
+std::function<bool(data::ItemId)> SeenByAny(
+    const data::InteractionMatrix* exclude, const std::vector<int32_t>& rows);
+
+// Interaction counts per item over a catalog of `num_items` items: the
+// popularity ranking's scores. Edges whose item is outside the catalog are
+// ignored.
+std::vector<double> ItemCounts(const data::EdgeList& edges, int num_items);
 
 }  // namespace groupsa::core
 

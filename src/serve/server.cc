@@ -5,28 +5,10 @@
 
 #include "common/failpoint.h"
 #include "common/macros.h"
-#include "core/inference_engine.h"
+#include "common/string_util.h"
+#include "core/topk.h"
 
 namespace groupsa::serve {
-namespace {
-
-// Exclude-matrix rows a degraded answer must respect, mirroring the rows
-// the model path would have consulted (user row / group row / every member
-// row).
-std::vector<int32_t> ExcludeRows(const Request& request) {
-  switch (request.kind) {
-    case Request::Kind::kUser:
-      return {request.user};
-    case Request::Kind::kGroup:
-      return {request.group};
-    case Request::Kind::kMembers:
-      return std::vector<int32_t>(request.members.begin(),
-                                  request.members.end());
-  }
-  return {};
-}
-
-}  // namespace
 
 Server::Server(const ServeConfig& config, ModelFactory factory,
                std::string checkpoint_path, const data::EdgeList& popularity,
@@ -36,10 +18,9 @@ Server::Server(const ServeConfig& config, ModelFactory factory,
     : config_(config),
       factory_(std::move(factory)),
       checkpoint_path_(std::move(checkpoint_path)),
-      popularity_(popularity),
+      popularity_(core::ItemCounts(popularity, num_items)),
       num_users_(num_users),
       num_groups_(num_groups),
-      num_items_(num_items),
       user_exclude_(user_exclude),
       group_exclude_(group_exclude),
       breaker_(config.breaker) {
@@ -49,6 +30,12 @@ Server::Server(const ServeConfig& config, ModelFactory factory,
   GROUPSA_CHECK(config_.reload_retries >= 0,
                 "ServeConfig::reload_retries must be >= 0");
   GROUPSA_CHECK(factory_ != nullptr, "Server requires a model factory");
+  GROUPSA_CHECK(user_exclude_ == nullptr ||
+                    user_exclude_->num_rows() == num_users_,
+                "Server user exclude matrix needs one row per user");
+  GROUPSA_CHECK(group_exclude_ == nullptr ||
+                    group_exclude_->num_rows() == num_groups_,
+                "Server group exclude matrix needs one row per group");
 }
 
 Server::~Server() { Stop(); }
@@ -58,6 +45,18 @@ Status Server::BuildGeneration(const std::string& checkpoint_path,
   std::unique_ptr<core::GroupSaModel> model;
   GROUPSA_RETURN_IF_ERROR_CTX(factory_(checkpoint_path, &model),
                               "build model generation");
+  // The door validated every request against the server's id spaces; a
+  // model with other ones would take ids the engine cannot serve.
+  const int num_items = static_cast<int>(popularity_.size());
+  if (model != nullptr &&
+      (model->num_users() != num_users_ ||
+       model->num_groups() != num_groups_ || model->num_items() != num_items)) {
+    return Status::Error(StrFormat(
+        "build model generation: model has %d users, %d groups, %d items; "
+        "the server serves %d, %d, %d",
+        model->num_users(), model->num_groups(), model->num_items(),
+        num_users_, num_groups_, num_items));
+  }
   auto gen = std::make_shared<Generation>();
   core::InferenceEngine* engine =
       model != nullptr ? &model->inference() : nullptr;
@@ -76,8 +75,6 @@ Status Server::BuildGeneration(const std::string& checkpoint_path,
     engine->GetQuantState();
   }
   gen->model = std::move(model);
-  gen->fallback = std::make_unique<core::FallbackRecommender>(
-      engine, popularity_, num_items_);
   *out = std::move(gen);
   return Status::Ok();
 }
@@ -248,45 +245,10 @@ void Server::RequeueFront(Job job) {
 // Request path
 // ---------------------------------------------------------------------------
 
-std::string Server::ValidateRequest(const Request& request) const {
-  if (request.k < 1)
-    return "invalid request: k must be >= 1 (got " +
-           std::to_string(request.k) + ")";
-  switch (request.kind) {
-    case Request::Kind::kUser:
-      if (request.user < 0 ||
-          (num_users_ > 0 && request.user >= num_users_))
-        return "invalid request: user id " + std::to_string(request.user) +
-               " out of range";
-      break;
-    case Request::Kind::kGroup:
-      if (request.group < 0 ||
-          (num_groups_ > 0 && request.group >= num_groups_))
-        return "invalid request: group id " + std::to_string(request.group) +
-               " out of range";
-      break;
-    case Request::Kind::kMembers: {
-      if (request.members.empty())
-        return "invalid request: members list is empty";
-      for (data::UserId member : request.members) {
-        if (member < 0 || (num_users_ > 0 && member >= num_users_))
-          return "invalid request: member id " + std::to_string(member) +
-                 " out of range";
-      }
-      std::vector<data::UserId> sorted = request.members;
-      std::sort(sorted.begin(), sorted.end());
-      const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-      if (dup != sorted.end())
-        return "invalid request: duplicate member id " + std::to_string(*dup);
-      break;
-    }
-  }
-  return "";
-}
-
 std::future<Response> Server::Submit(Request req) {
   Job job;
-  job.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  Work& work = job.work;
+  work.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::future<Response> future = job.promise.get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   // Every submission is one tick of virtual time — the clock measures
@@ -294,7 +256,7 @@ std::future<Response> Server::Submit(Request req) {
   const uint64_t now = clock_.Advance();
 
   const auto resolve = [&job](Response r) {
-    r.id = job.id;
+    r.id = job.work.id;
     job.promise.set_value(std::move(r));
   };
 
@@ -310,18 +272,40 @@ std::future<Response> Server::Submit(Request req) {
     return future;
   }
 
-  // Structured validation: a malformed request gets a reason, not a crash
-  // deeper in the stack and not a silent degraded ranking for an entity
-  // that does not exist.
-  if (std::string reason = ValidateRequest(req); !reason.empty()) {
+  // The one validation: map the request to its engine query and check it.
+  // A malformed request gets a reason, not a crash deeper in the stack and
+  // not a silent degraded ranking for an entity that does not exist.
+  switch (req.kind) {
+    case Request::Kind::kUser:
+      work.kind = core::QueryKind::kUser;
+      work.ids = {req.user};
+      break;
+    case Request::Kind::kGroup:
+      work.kind = core::QueryKind::kGroup;
+      work.ids = {req.group};
+      break;
+    case Request::Kind::kMembers:
+      work.kind = core::QueryKind::kMembers;
+      work.ids = std::move(req.members);
+      break;
+  }
+  if (Status s = core::ValidateQuery(work.kind, work.ids, req.k, num_users_,
+                                     num_groups_);
+      !s.ok()) {
     invalid_.fetch_add(1, std::memory_order_relaxed);
     rejected_.fetch_add(1, std::memory_order_relaxed);
     Response r;
     r.rejected = true;
-    r.error = std::move(reason);
+    r.error = "invalid request: " + s.message();
     resolve(std::move(r));
     return future;
   }
+  work.k = req.k;
+  if (req.exclude_seen) {
+    work.exclude = work.kind == core::QueryKind::kGroup ? group_exclude_
+                                                        : user_exclude_;
+  }
+  work.chaos = req.chaos;
 
   // Resolve the deadline: client absolute tick wins, then the request's
   // own budget, then the server-wide default.
@@ -342,8 +326,7 @@ std::future<Response> Server::Submit(Request req) {
     return future;
   }
 
-  job.request = std::move(req);
-  job.deadline_tick = deadline_tick;
+  work.deadline_tick = deadline_tick;
   switch (TryPush(&job)) {
     case PushResult::kOk:
       admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -352,7 +335,7 @@ std::future<Response> Server::Submit(Request req) {
       if (config_.overload == ServeConfig::OverloadPolicy::kShedToFallback) {
         // Shed on the caller thread: popularity is O(items log k) with no
         // model work, so the overload path stays cheap under pressure.
-        Response r = DegradedAnswer(CurrentGeneration(), job.request, job.id,
+        Response r = DegradedAnswer(*CurrentGeneration(), work,
                                     "admission queue full");
         r.shed = true;
         shed_.fetch_add(1, std::memory_order_relaxed);
@@ -389,11 +372,9 @@ void Server::WorkerLoop(int slot_index, uint64_t epoch) {
     // Decide the hang simulation before installing the job: once installed
     // it belongs to the slot and the supervisor may steal it at any time.
     const bool hang =
-        job.request.chaos.hang ||
+        job.work.chaos.hang ||
         GROUPSA_FAILPOINT("serve.worker.hang") != failpoint::Action::kNone;
-    const Request request = job.request;
-    const uint64_t id = job.id;
-    const uint64_t deadline_tick = job.deadline_tick;
+    const Work work = job.work;
     {
       std::lock_guard<DebugMutex> lock(slot.mu);
       slot.job = std::move(job);
@@ -412,7 +393,7 @@ void Server::WorkerLoop(int slot_index, uint64_t epoch) {
       if (!slot.has_job) continue;  // stolen without a restart (defensive)
       // Released at shutdown: fall through and self-serve the held job.
     }
-    Response r = AnswerJob(request, id, deadline_tick);
+    Response r = AnswerJob(work);
     Job reclaimed;
     {
       std::lock_guard<DebugMutex> lock(slot.mu);
@@ -431,50 +412,41 @@ void Server::WorkerLoop(int slot_index, uint64_t epoch) {
 }
 
 void Server::CompleteJob(Job job) {
-  Response r = AnswerJob(job.request, job.id, job.deadline_tick);
+  Response r = AnswerJob(job.work);
   completed_.fetch_add(1, std::memory_order_relaxed);
   if (r.degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
   clock_.Advance();
   job.promise.set_value(std::move(r));
 }
 
-Response Server::AnswerJob(const Request& request, uint64_t id,
-                           uint64_t deadline_tick) {
+Response Server::AnswerJob(const Work& work) {
   // Pop-time expiry: a request that outlived its deadline in the queue is
   // resolved before any scoring work — the whole point of a deadline is
   // not to burn model time on an answer nobody is waiting for.
-  if (DeadlineExpired(deadline_tick, clock_.Now())) {
+  if (DeadlineExpired(work.deadline_tick, clock_.Now())) {
     expired_queue_.fetch_add(1, std::memory_order_relaxed);
     Response r;
-    r.id = id;
+    r.id = work.id;
     r.expired = true;
-    r.error = DescribeExpiry(deadline_tick);
+    r.error = DescribeExpiry(work.deadline_tick);
     return r;
   }
-  return Process(request, id, deadline_tick);
+  return Process(work);
 }
 
-Response Server::DegradedAnswer(const std::shared_ptr<Generation>& gen,
-                                const Request& request, uint64_t id,
+Response Server::DegradedAnswer(const Generation& gen, const Work& work,
                                 std::string reason) const {
-  const data::InteractionMatrix* exclude = nullptr;
-  if (request.exclude_seen) {
-    exclude = request.kind == Request::Kind::kGroup ? group_exclude_
-                                                    : user_exclude_;
-  }
-  const core::FallbackRecommender::Response fr = gen->fallback->ServeDegraded(
-      std::move(reason), request.k, exclude, ExcludeRows(request));
   Response r;
-  r.id = id;
-  r.items = fr.items;
+  r.id = work.id;
+  r.items = core::TopKItems(popularity_, work.k,
+                            core::SeenByAny(work.exclude, work.ids));
   r.degraded = true;
-  r.error = fr.error;
-  r.generation = gen->number;
+  r.error = std::move(reason);
+  r.generation = gen.number;
   return r;
 }
 
-Response Server::Process(const Request& request, uint64_t id,
-                         uint64_t deadline_tick) {
+Response Server::Process(const Work& work) {
   const std::shared_ptr<Generation> gen = CurrentGeneration();
 
   // Circuit breaker routing. An open breaker short-circuits the whole
@@ -482,7 +454,7 @@ Response Server::Process(const Request& request, uint64_t id,
   // admits a bounded number of probes.
   const CircuitBreaker::Route route = breaker_.Admit(clock_.Now());
   if (route == CircuitBreaker::Route::kFallback)
-    return DegradedAnswer(gen, request, id, "circuit breaker open");
+    return DegradedAnswer(*gen, work, "circuit breaker open");
 
   const int max_retries = std::max(0, config_.backoff.max_retries);
   uint64_t backoff_spent = 0;  // virtual ticks this request burned waiting
@@ -493,54 +465,36 @@ Response Server::Process(const Request& request, uint64_t id,
     // path is unusable for this attempt"; kill is the crash-test hammer
     // and never returns).
     const bool injected =
-        attempt < static_cast<int>(request.chaos.fault_attempts) ||
+        attempt < static_cast<int>(work.chaos.fault_attempts) ||
         GROUPSA_FAILPOINT("serve.worker") != failpoint::Action::kNone;
     if (!injected) {
-      const data::InteractionMatrix* user_ex =
-          request.exclude_seen ? user_exclude_ : nullptr;
-      const data::InteractionMatrix* group_ex =
-          request.exclude_seen ? group_exclude_ : nullptr;
-      core::FallbackRecommender::Response fr;
-      switch (request.kind) {
-        case Request::Kind::kUser:
-          fr = gen->fallback->RecommendForUser(request.user, request.k,
-                                               user_ex);
-          break;
-        case Request::Kind::kGroup:
-          fr = gen->fallback->RecommendForGroup(request.group, request.k,
-                                                group_ex);
-          break;
-        case Request::Kind::kMembers:
-          fr = gen->fallback->RecommendForMembers(request.members, request.k,
-                                                  user_ex);
-          break;
-      }
-      // Request-final outcome for the breaker. An engine error is evidence
-      // against the model; an absent engine (permanently degraded) is the
-      // configured steady state, not a model failure — counting it would
-      // trip the breaker on a server that is behaving exactly as asked.
-      // Engine errors are deterministic for a given request, so they are
-      // not retried: the retry budget exists for transient faults.
-      if (fr.source ==
-          core::FallbackRecommender::Response::Source::kEngineError) {
-        breaker_.RecordFailure(route, clock_.Now());
-      } else {
-        breaker_.RecordSuccess(route);
-      }
+      // The door validated `work` against the id spaces every generation's
+      // model shares, so the engine's unchecked call is safe. A generation
+      // without a model is the configured steady state, not a model
+      // failure: both outcomes count as successes for the breaker.
       Response r;
-      r.id = id;
-      r.items = std::move(fr.items);
-      r.degraded = fr.degraded;
+      if (gen->model == nullptr) {
+        r = DegradedAnswer(*gen, work, "model unavailable");
+      } else {
+        core::InferenceEngine& engine = gen->model->inference();
+        const std::vector<int32_t>& ids = work.ids;
+        r.id = work.id;
+        r.items =
+            work.kind == core::QueryKind::kUser
+                ? engine.RecommendForUser(ids[0], work.k, work.exclude)
+            : work.kind == core::QueryKind::kGroup
+                ? engine.RecommendForGroup(ids[0], work.k, work.exclude)
+                : engine.RecommendForMembers(ids, work.k, work.exclude);
+        r.generation = gen->number;
+      }
+      breaker_.RecordSuccess(route);
       r.retries = attempt;
-      r.error = std::move(fr.error);
-      r.generation = gen->number;
       return r;
     }
     worker_faults_.fetch_add(1, std::memory_order_relaxed);
     if (attempt >= max_retries) {
       breaker_.RecordFailure(route, clock_.Now());
-      Response r =
-          DegradedAnswer(gen, request, id, "injected fault at serve.worker");
+      Response r = DegradedAnswer(*gen, work, "injected fault at serve.worker");
       r.retries = attempt;
       return r;
     }
@@ -548,15 +502,15 @@ Response Server::Process(const Request& request, uint64_t id,
     // the request's own deadline budget, so a retrying request is strictly
     // closer to expiry than one that succeeded first try.
     retries_.fetch_add(1, std::memory_order_relaxed);
-    backoff_spent += BackoffDelayTicks(config_.backoff, id, attempt);
-    if (DeadlineExpired(deadline_tick, clock_.Now() + backoff_spent)) {
+    backoff_spent += BackoffDelayTicks(config_.backoff, work.id, attempt);
+    if (DeadlineExpired(work.deadline_tick, clock_.Now() + backoff_spent)) {
       breaker_.RecordFailure(route, clock_.Now());
       expired_queue_.fetch_add(1, std::memory_order_relaxed);
       Response r;
-      r.id = id;
+      r.id = work.id;
       r.expired = true;
       r.retries = attempt;
-      r.error = DescribeExpiry(deadline_tick) + " during retry backoff";
+      r.error = DescribeExpiry(work.deadline_tick) + " during retry backoff";
       return r;
     }
   }
@@ -606,7 +560,7 @@ void Server::SuperviseOnce() {
     worker_restarts_.fetch_add(1, std::memory_order_relaxed);
     // The hang modeled a stuck *worker*, not a poisoned request: the
     // rescued job must not hang whoever serves it next.
-    job.request.chaos.hang = false;
+    job.work.chaos.hang = false;
     RequeueFront(std::move(job));
     const int slot_index = static_cast<int>(i);
     pool_->Post(
@@ -775,7 +729,7 @@ ServerHealth Server::Health() const {
     w.alive = slot->alive;
     w.busy = slot->has_job;
     w.hanging = slot->hanging;
-    w.job_id = slot->has_job ? slot->job.id : 0;
+    w.job_id = slot->has_job ? slot->job.work.id : 0;
     w.restarts = slot->restarts;
     h.workers.push_back(w);
   }

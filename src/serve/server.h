@@ -16,8 +16,8 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/virtual_clock.h"
-#include "core/fallback_recommender.h"
 #include "core/groupsa_model.h"
+#include "core/inference_engine.h"
 #include "core/item_index.h"
 #include "core/quantized.h"
 #include "data/interaction_matrix.h"
@@ -29,25 +29,33 @@ namespace groupsa::serve {
 // ---------------------------------------------------------------------------
 // groupsa_serve — the queue-driven concurrent request pipeline.
 //
-// The library's InferenceEngine and FallbackRecommender answer one call at a
-// time on the caller's thread; this daemon turns them into a process that
-// admits concurrent traffic:
+// The library's InferenceEngine answers one call at a time on the caller's
+// thread; this daemon turns it into a process that admits concurrent
+// traffic:
 //
 //   Submit() ──► bounded admission queue ──► W worker loops (pool threads)
 //       │               │                        │
-//       │ invalid:      │ full: overload policy  │ serve via the current
-//       │ reject        ▼                        ▼ model generation
-//       │        shed → popularity        FallbackRecommender → engine
+//       │ invalid:      │ full: overload policy  │ the current generation's
+//       │ reject        ▼                        ▼ engine, or popularity
+//       │        shed → popularity          (no model, breaker open, fault)
 //       ▼
 //   expired: resolve without ranking
 //
+// Submit() is the one validation boundary: it maps a Request to the engine
+// query it names (core::QueryKind plus ids) once and checks it with
+// core::ValidateQuery over the constructor's id spaces. A generation whose
+// model has other id spaces fails to build, so an admitted request goes
+// straight to the engine's unchecked call and is never validated again.
+// Popularity answers rank the constructor's item counts with
+// core::TopKItems, skipping the request's seen items like the engine does.
+//
 // Worker loops run on a dedicated groupsa::parallel::ThreadPool (never raw
 // std::thread — the determinism linter bans those); each popped request is
-// answered through the generation's shared FallbackRecommender, whose
-// InferenceEngine keeps one value-version-keyed representation cache that
-// all workers share. Scoring inside a worker that fans out through the
-// global pool runs inline (nested ParallelFor), so responses are
-// bit-identical at any worker count and any global pool width.
+// answered through the generation's InferenceEngine, whose one
+// value-version-keyed representation cache all workers share. Scoring
+// inside a worker that fans out through the global pool runs inline
+// (nested ParallelFor), so responses are bit-identical at any worker count
+// and any global pool width.
 //
 // Hot reload: Reload(path) stages a complete new model generation off to
 // the side (factory + checkpoint v2 all-or-nothing load) and then swaps one
@@ -248,18 +256,20 @@ class Server {
   // Builds the model for one checkpoint generation. Called once by Start()
   // and once per Reload(); runs off the serving path, so a slow build never
   // stalls traffic. Returning an error keeps the previous generation (at
-  // Start: fails Start). Returning Ok with a null model is the explicit
-  // "serve permanently degraded" state (popularity only) — the factory
-  // decides whether a bad checkpoint is fatal or degradable.
+  // Start: fails Start), and so does a model whose user, group or item
+  // count differs from the server's. Returning Ok with a null model is the
+  // explicit "serve permanently degraded" state (popularity only) — the
+  // factory decides whether a bad checkpoint is fatal or degradable.
   using ModelFactory =
       std::function<Status(const std::string& checkpoint_path,
                            std::unique_ptr<core::GroupSaModel>*)>;
 
-  // `popularity` seeds the fallback ranking (training interactions);
-  // `num_users` / `num_groups` bound the entity ids request validation
-  // accepts (pass 0 to leave that id space unchecked); `user_exclude` /
-  // `group_exclude` are the seen-item matrices consulted when
-  // Request::exclude_seen is set (either may be null). The matrices must
+  // `popularity` (training interactions) is counted per item once, here,
+  // into the popularity ranking; `num_users` / `num_groups` / `num_items`
+  // are the id spaces requests are validated against and every
+  // generation's model must have. `user_exclude` / `group_exclude` are the
+  // seen-item matrices consulted when Request::exclude_seen is set (either
+  // may be null, otherwise one row per user / group). The matrices must
   // outlive the server.
   Server(const ServeConfig& config, ModelFactory factory,
          std::string checkpoint_path, const data::EdgeList& popularity,
@@ -315,19 +325,29 @@ class Server {
 
  private:
   // One model generation: the model (owns its InferenceEngine and therefore
-  // the shared value-version-keyed representation cache) plus the fallback
-  // front-end every worker answers through. `model` is null in the
-  // permanently-degraded state; `fallback` never is.
+  // the shared value-version-keyed representation cache). `model` is null
+  // in the permanently-degraded state.
   struct Generation {
     std::unique_ptr<core::GroupSaModel> model;
-    std::unique_ptr<core::FallbackRecommender> fallback;
     uint64_t number = 0;
   };
 
-  struct Job {
-    Request request;
+  // A request as Submit() maps it, once: the engine query (`kind` and
+  // `ids` — the user, the group or the members, which are also the rows of
+  // `exclude` whose seen items an answer skips) plus what answering it
+  // needs.
+  struct Work {
+    core::QueryKind kind = core::QueryKind::kUser;
+    std::vector<int32_t> ids;
+    int k = 0;
+    const data::InteractionMatrix* exclude = nullptr;  // null: skip none
+    Request::Chaos chaos;
     uint64_t id = 0;
     uint64_t deadline_tick = 0;  // absolute, resolved at admission (0 = none)
+  };
+
+  struct Job {
+    Work work;
     std::promise<Response> promise;
   };
 
@@ -364,10 +384,6 @@ class Server {
   // in the meantime, serves it on the calling (supervisor) thread instead.
   void RequeueFront(Job job);
 
-  // Structured validation: returns an empty string for a well-formed
-  // request, else the rejection reason.
-  std::string ValidateRequest(const Request& request) const;
-
   void WorkerLoop(int slot_index, uint64_t epoch);
   void SupervisorLoop();
   // One supervisor sweep: rescue hung workers, fire a due reload retry.
@@ -377,15 +393,12 @@ class Server {
   // resolves its promise with full counter bookkeeping.
   void CompleteJob(Job job);
   // Pop-time expiry check + model path with breaker routing and retries.
-  Response AnswerJob(const Request& request, uint64_t id,
-                     uint64_t deadline_tick);
-  Response Process(const Request& request, uint64_t id,
-                   uint64_t deadline_tick);
+  Response AnswerJob(const Work& work);
+  Response Process(const Work& work);
 
-  // Popularity-only answer with per-kind exclude-row semantics (shed,
-  // breaker-open and injected-fault paths).
-  Response DegradedAnswer(const std::shared_ptr<Generation>& gen,
-                          const Request& request, uint64_t id,
+  // The popularity answer (shed, breaker-open, injected-fault and no-model
+  // paths).
+  Response DegradedAnswer(const Generation& gen, const Work& work,
                           std::string reason) const;
 
   // Reload guts shared by the public call and the background retry.
@@ -395,10 +408,9 @@ class Server {
   const ServeConfig config_;
   const ModelFactory factory_;
   const std::string checkpoint_path_;
-  const data::EdgeList popularity_;
+  const std::vector<double> popularity_;  // interaction count per item
   const int num_users_;
   const int num_groups_;
-  const int num_items_;
   const data::InteractionMatrix* const user_exclude_;
   const data::InteractionMatrix* const group_exclude_;
 

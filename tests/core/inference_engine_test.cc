@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -243,6 +245,70 @@ TEST(TopKItemsTest, SkipFilterAndShortInputs) {
   EXPECT_EQ(top[1].first, 0);
   EXPECT_TRUE(TopKItems(scores, 0).empty());
   EXPECT_TRUE(TopKItems({}, 3).empty());
+}
+
+// ---------------- The validation boundary ----------------------------------
+
+class ServingStatusTest : public ::testing::Test {
+ protected:
+  ServingStatusTest()
+      : config_(SmallConfig()),
+        f_(TinyFixture::Make(config_)),
+        model_(f_.MakeModel(config_)),
+        engine_(model_.get()) {}
+
+  GroupSaConfig config_;
+  TinyFixture f_;
+  std::unique_ptr<GroupSaModel> model_;
+  InferenceEngine engine_;
+};
+
+TEST_F(ServingStatusTest, InvalidIdsReturnDescriptiveErrors) {
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kUser, {4}, 5).ok());
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kGroup, {2}, 5).ok());
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kMembers, {1, 2}, 5).ok());
+
+  Status s = engine_.ValidateRequest(QueryKind::kUser, {-1}, 5);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("user id -1 out of range"), std::string::npos);
+
+  s = engine_.ValidateRequest(QueryKind::kUser, {model_->num_users()}, 5);
+  EXPECT_FALSE(s.ok());
+
+  s = engine_.ValidateRequest(QueryKind::kGroup, {-7}, 5);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("group id -7 out of range"), std::string::npos);
+
+  s = engine_.ValidateRequest(QueryKind::kMembers, {}, 5);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("members list is empty"), std::string::npos);
+
+  s = engine_.ValidateRequest(QueryKind::kMembers, {0, -2}, 5);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("member"), std::string::npos);
+
+  s = engine_.ValidateRequest(QueryKind::kUser, {0}, 0);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("k must be >= 1"), std::string::npos);
+}
+
+TEST_F(ServingStatusTest, FastRecommenderValidatesMembers) {
+  // FastGroupRecommender's member-average queries share the engine's one
+  // validation boundary.
+  EXPECT_TRUE(
+      engine_.ValidateRequest(QueryKind::kMemberAverage, {0, 1}, 4).ok());
+
+  Status s = engine_.ValidateRequest(QueryKind::kMemberAverage, {0, -1}, 4);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("out of range"), std::string::npos);
+
+  s = engine_.ValidateRequest(QueryKind::kMemberAverage, {3, 1, 3}, 4);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "duplicate member id 3");
+
+  EXPECT_FALSE(engine_.ValidateRequest(QueryKind::kMemberAverage, {}, 4).ok());
+  EXPECT_FALSE(
+      engine_.ValidateRequest(QueryKind::kMemberAverage, {0}, -2).ok());
 }
 
 }  // namespace

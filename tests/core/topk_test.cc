@@ -165,6 +165,28 @@ TEST(TopKItemsTest, TieHeavyNthElementCutMatchesFullSort) {
   }
 }
 
+TEST(ItemCountsTest, CountsEdgesPerItemAndIgnoresOutsideTheCatalog) {
+  // Item 2 three times, item 0 twice, item 1 once; items 3/4 unseen. Items
+  // 99 and -3 lie outside the 5-item catalog.
+  const data::EdgeList edges = {{0, 2}, {1, 2}, {2, 2}, {0, 0},
+                                {1, 0}, {2, 1}, {0, 99}, {0, -3}};
+  EXPECT_EQ(ItemCounts(edges, 5), (std::vector<double>{2, 1, 3, 0, 0}));
+  EXPECT_TRUE(ItemCounts(edges, 0).empty());
+}
+
+TEST(SeenByAnyTest, SkipsWhatAnyRowObserved) {
+  const data::InteractionMatrix seen(/*num_rows=*/3, /*num_items=*/4,
+                                     {{0, 1}, {2, 3}});
+  const std::vector<int32_t> rows = {0, 2};
+  const auto skip = SeenByAny(&seen, rows);
+  ASSERT_NE(skip, nullptr);
+  EXPECT_FALSE(skip(0));
+  EXPECT_TRUE(skip(1));
+  EXPECT_FALSE(skip(2));
+  EXPECT_TRUE(skip(3));
+  EXPECT_EQ(SeenByAny(nullptr, rows), nullptr);
+}
+
 TEST(AllItemsTest, IdentityCatalog) {
   const auto items = AllItems(4);
   ASSERT_EQ(items.size(), 4u);

@@ -39,6 +39,32 @@ Request UserRequest(int user, int k = 4) {
   return r;
 }
 
+// The engine query a request names: its kind, and the user, the group or
+// the members.
+core::QueryKind QueryKindOf(const Request& r) {
+  switch (r.kind) {
+    case Request::Kind::kUser:
+      return core::QueryKind::kUser;
+    case Request::Kind::kGroup:
+      return core::QueryKind::kGroup;
+    case Request::Kind::kMembers:
+      return core::QueryKind::kMembers;
+  }
+  return core::QueryKind::kUser;
+}
+
+std::vector<int32_t> QueryIdsOf(const Request& r) {
+  switch (r.kind) {
+    case Request::Kind::kUser:
+      return {r.user};
+    case Request::Kind::kGroup:
+      return {r.group};
+    case Request::Kind::kMembers:
+      return r.members;
+  }
+  return {};
+}
+
 // An invalid request is rejected before admission but still advances the
 // virtual clock by its submission tick — the deadline tests use a burst of
 // these to age queued requests without occupying queue slots.
@@ -137,6 +163,12 @@ TEST_F(ResilienceTest, ValidationTableRejectsEveryMalformedShape) {
         << c.name << ": " << r.error;
     EXPECT_NE(r.error.find(c.want_substring), std::string::npos)
         << c.name << ": " << r.error;
+    // One rule set: the engine rejects the same query for the same reason,
+    // and the daemon only prefixes it.
+    const Status engine = rig.oracle->inference().ValidateRequest(
+        QueryKindOf(c.request), QueryIdsOf(c.request), c.request.k);
+    EXPECT_FALSE(engine.ok()) << c.name;
+    EXPECT_EQ(r.error, "invalid request: " + engine.message()) << c.name;
     ++want_invalid;
     EXPECT_EQ(rig.server->stats().invalid, want_invalid) << c.name;
   }

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,134 @@ class ServerTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
 };
+
+// The popularity-path probes: a user, a group and an ad-hoc member list,
+// each with and without seen-item exclusion.
+std::vector<Request> DegradedProbes() {
+  std::vector<Request> probes;
+  for (const bool exclude_seen : {false, true}) {
+    Request user;
+    user.kind = Request::Kind::kUser;
+    user.user = 3;
+    user.k = 8;
+    Request group;
+    group.kind = Request::Kind::kGroup;
+    group.group = 4;
+    group.k = 8;
+    Request members;
+    members.kind = Request::Kind::kMembers;
+    members.members = {1, 4, 6};
+    members.k = 8;
+    for (Request* r : {&user, &group, &members}) {
+      r->exclude_seen = exclude_seen;
+      probes.push_back(*r);
+    }
+  }
+  return probes;
+}
+
+// 64-bit FNV-1a over every answer's item ids and score bits, in order.
+uint64_t AnswerDigest(const std::vector<Response>& responses) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Response& r : responses) {
+    for (const auto& [item, score] : r.items) {
+      mix(&item, sizeof(item));
+      mix(&score, sizeof(score));
+    }
+  }
+  return h;
+}
+
+// Every degraded path answers the probes with the same popularity ranking:
+// training-interaction counts, count descending then id ascending, with the
+// request's seen items skipped. The digest pins those bits.
+constexpr uint64_t kDegradedDigest = 0x4b3cd7803d9098bcULL;
+
+void ExpectDegradedBits(const std::vector<Response>& responses,
+                        const std::string& error) {
+  ASSERT_EQ(responses.size(), DegradedProbes().size());
+  for (const Response& r : responses) {
+    EXPECT_TRUE(r.degraded) << error;
+    EXPECT_EQ(r.error, error);
+    EXPECT_EQ(r.items.size(), 8u) << error;
+  }
+  // Each probe's seen items reach into the popularity top 8.
+  for (size_t i = 0; i < 3; ++i)
+    EXPECT_NE(responses[i].items, responses[i + 3].items) << error;
+  EXPECT_EQ(AnswerDigest(responses), kDegradedDigest)
+      << error << ": 0x" << std::hex << AnswerDigest(responses);
+}
+
+TEST_F(ServerTest, DegradedAnswersKeepTheirPinnedBits) {
+  const std::vector<Request> probes = DegradedProbes();
+  {
+    // Shed: a paused server with its one queue slot taken.
+    ServeConfig sc;
+    sc.workers = 1;
+    sc.queue_depth = 1;
+    ServeRig rig(sc);
+    ASSERT_TRUE(rig.server->Start().ok());
+    rig.server->Pause();
+    std::future<Response> queued = rig.server->Submit(probes[0]);
+    std::vector<Response> shed;
+    for (const Request& probe : probes) shed.push_back(rig.server->Call(probe));
+    for (const Response& r : shed) EXPECT_TRUE(r.shed);
+    ExpectDegradedBits(shed, "admission queue full");
+    rig.server->Resume();
+    EXPECT_FALSE(queued.get().degraded);
+    rig.server->Stop();
+  }
+  {
+    // Injected worker fault on every model attempt.
+    ServeConfig sc;
+    ServeRig rig(sc);
+    ASSERT_TRUE(rig.server->Start().ok());
+    ASSERT_TRUE(failpoint::Arm("serve.worker=error"));
+    std::vector<Response> faulted;
+    for (const Request& probe : probes)
+      faulted.push_back(rig.server->Call(probe));
+    failpoint::DisarmAll();
+    ExpectDegradedBits(faulted, "injected fault at serve.worker");
+    rig.server->Stop();
+  }
+  {
+    // Open breaker: one hard fault trips it, and it stays open for far
+    // longer than the probes take.
+    ServeConfig sc;
+    sc.breaker.enabled = true;
+    sc.breaker.window = 4;
+    sc.breaker.threshold = 1;
+    sc.breaker.open_ticks = 1000;
+    ServeRig rig(sc);
+    ASSERT_TRUE(rig.server->Start().ok());
+    Request trip = probes[0];
+    trip.chaos.fault_attempts = 255;
+    EXPECT_TRUE(rig.server->Call(trip).degraded);
+    std::vector<Response> blocked;
+    for (const Request& probe : probes)
+      blocked.push_back(rig.server->Call(probe));
+    ExpectDegradedBits(blocked, "circuit breaker open");
+    rig.server->Stop();
+  }
+  {
+    // A generation without a model.
+    ServeConfig sc;
+    ServeRig rig(sc, /*factory_yields_null_model=*/true);
+    ASSERT_TRUE(rig.server->Start().ok());
+    std::vector<Response> unavailable;
+    for (const Request& probe : probes)
+      unavailable.push_back(rig.server->Call(probe));
+    ExpectDegradedBits(unavailable, "model unavailable");
+    rig.server->Stop();
+  }
+}
 
 TEST_F(ServerTest, PipelineMatchesDirectEngineBitForBit) {
   ServeConfig sc;
@@ -269,6 +398,68 @@ TEST_F(ServerTest, FailedReloadKeepsTheOldGenerationServing) {
   const ServerStats stats = rig.server->stats();
   EXPECT_EQ(stats.reloads, 0);
   EXPECT_EQ(stats.failed_reloads, 3);
+}
+
+// The rig's model, or for the checkpoint "wider" one with a user more than
+// the world the server validates requests against.
+Server::ModelFactory WiderOnRequest(const ServeRig& rig) {
+  return [&rig](const std::string& path,
+                std::unique_ptr<core::GroupSaModel>* out) {
+    const data::Dataset& d = rig.fixture.world.dataset;
+    Rng rng(ServeRig::kModelSeed);
+    *out = std::make_unique<core::GroupSaModel>(
+        rig.config, d.num_users + (path == "wider" ? 1 : 0), d.num_items,
+        rig.fixture.model_data, &rng);
+    return Status::Ok();
+  };
+}
+
+std::unique_ptr<Server> RigWorldServer(const ServeRig& rig,
+                                       Server::ModelFactory factory,
+                                       const std::string& checkpoint) {
+  const core::testing::TinyFixture& f = rig.fixture;
+  return std::make_unique<Server>(
+      ServeConfig(), std::move(factory), checkpoint, f.ui.train,
+      f.world.dataset.num_users, f.world.dataset.groups.num_groups(),
+      f.world.dataset.num_items, &f.ui_train, &f.gi_train);
+}
+
+TEST_F(ServerTest, ModelWithOtherIdSpacesFailsStart) {
+  ServeRig rig(ServeConfig{});
+  auto server = RigWorldServer(rig, WiderOnRequest(rig), "wider");
+  const Status s = server->Start();
+  ASSERT_FALSE(s.ok());
+  const int users = rig.fixture.world.dataset.num_users;
+  EXPECT_NE(s.message().find("model has " + std::to_string(users + 1) +
+                             " users"),
+            std::string::npos)
+      << s.message();
+  EXPECT_FALSE(server->running());
+  EXPECT_EQ(server->generation(), 0u);
+}
+
+TEST_F(ServerTest, ReloadOfModelWithOtherIdSpacesKeepsTheOldGeneration) {
+  ServeRig rig(ServeConfig{});
+  auto server = RigWorldServer(rig, WiderOnRequest(rig), ServeRig::kInMemory);
+  ASSERT_TRUE(server->Start().ok());
+  Request request;
+  request.kind = Request::Kind::kUser;
+  request.user = rig.fixture.world.dataset.num_users - 1;
+  request.k = 5;
+
+  const Status s = server->Reload("wider");
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("serve reload"), std::string::npos)
+      << s.message();
+  EXPECT_EQ(server->generation(), 1u);
+  const Response r = server->Call(request);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_EQ(r.generation, 1u);
+  EXPECT_TRUE(BitIdenticalItems(r.items, rig.Direct(request)));
+  server->Stop();
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.reloads, 0);
+  EXPECT_EQ(stats.failed_reloads, 1);
 }
 
 TEST_F(ServerTest, NullModelGenerationServesPopularityOnly) {

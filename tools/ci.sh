@@ -280,22 +280,33 @@ EOF
   echo "=== serve flag gate (bad numeric flags exit 1, never abort) ==="
   # Each line: the flag the error must name, then the arguments. These
   # values would otherwise reach a CHECK in the Server or CircuitBreaker
-  # constructor and abort with exit 134.
+  # constructor and abort with exit 134, or run silently wrong (a training
+  # run of the wrong length, a request the daemon would reject). Arguments
+  # that start with a groupsa_cli command run groupsa_cli; the rest run
+  # groupsa_serve.
   local flag args rc
   while read -r flag args; do
     set +e
     # shellcheck disable=SC2086  # $args is a word list on purpose
-    ./build/tools/groupsa_serve --data "${serve_dir}" \
-      --model "${serve_dir}/model.ckpt" ${args} < /dev/null > /dev/null \
-      2> "${serve_dir}/flag_err.txt"
+    case "${args}" in
+      train\ *)
+        ./build/tools/groupsa_cli ${args} --data "${serve_dir}" \
+          --model "${serve_dir}/flag_model.ckpt" ;;
+      recommend\ *)
+        ./build/tools/groupsa_cli ${args} --data "${serve_dir}" \
+          --model "${serve_dir}/model.ckpt" ;;
+      *)
+        ./build/tools/groupsa_serve --data "${serve_dir}" \
+          --model "${serve_dir}/model.ckpt" ${args} < /dev/null ;;
+    esac > /dev/null 2> "${serve_dir}/flag_err_${flag}.txt"
     rc=$?
     set -e
     if [ "${rc}" -ne 1 ]; then
-      echo "FAIL: groupsa_serve ${args} exited ${rc}, expected 1" >&2
+      echo "FAIL: ${args} exited ${rc}, expected 1" >&2
       exit 1
     fi
-    if ! grep -q -- "--${flag} " "${serve_dir}/flag_err.txt"; then
-      echo "FAIL: groupsa_serve ${args}: stderr does not name --${flag}" >&2
+    if ! grep -q -- "--${flag} " "${serve_dir}/flag_err_${flag}.txt"; then
+      echo "FAIL: ${args}: stderr does not name --${flag}" >&2
       exit 1
     fi
   done <<'EOF'
@@ -313,7 +324,17 @@ reload-retries --reload-retries many
 breaker-window --breaker --breaker-window ten
 breaker-threshold --breaker --breaker-threshold half
 breaker-probes --breaker --breaker-probes 1.5
+epochs train --epochs -1
+epochs train --epochs two
+top recommend --members 1,2 --top 0
+members recommend --members 2,0,2
 EOF
+  # A repeated member breaks the daemon's request rules, and the command
+  # line says so in the rule's own words.
+  if ! grep -q "duplicate member id 2" "${serve_dir}/flag_err_members.txt"; then
+    echo "FAIL: recommend --members 2,0,2: no duplicate-member message" >&2
+    exit 1
+  fi
   echo "serve flag gate OK"
 
   echo "=== crash-during-reload gate ==="

@@ -24,8 +24,10 @@
 // bit-identical at any thread count.
 //   groupsa_cli recommend --data DIR --model FILE --members 1,2,3 [--top K]
 //       Score the catalog for an ad-hoc group and print the Top-K items.
+//       The member list and K follow the serving daemon's request rules
+//       (distinct, known users; K >= 1); a list that breaks them exits 1.
 //       When the checkpoint cannot be loaded the command degrades to the
-//       popularity baseline (pass --strict to fail instead).
+//       popularity ranking (pass --strict to fail instead).
 //
 // The train/evaluate/recommend commands re-derive the split and TF-IDF
 // neighbourhoods deterministically from --seed, so a saved model and its
@@ -36,94 +38,33 @@
 // GROUPSA_FAILPOINTS="trainer.batch=kill@12" kills training at batch 12 for
 // the crash-resume CI gate.
 
+#include <climits>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
+#include <vector>
 
+#include "cli_common.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/fallback_recommender.h"
+#include "core/inference_engine.h"
+#include "core/topk.h"
 #include "core/trainer.h"
-#include "data/io.h"
-#include "data/split.h"
 #include "data/synthetic.h"
-#include "data/tfidf.h"
 #include "eval/evaluator.h"
 #include "nn/checkpoint.h"
 #include "tensor/backend.h"
 
 using namespace groupsa;
+using tools::Fail;
+using tools::FlagOr;
+using tools::Flags;
+using tools::IntFlag;
+using tools::Workspace;
 
 namespace {
 
-// Minimal --key value / --key=value parser.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
-}
-
-// Everything train/evaluate/recommend share: dataset, split, neighbourhoods.
-struct LoadedWorkspace {
-  data::Dataset dataset;
-  data::Split ui;
-  data::Split gi;
-  data::InteractionMatrix ui_train;
-  data::InteractionMatrix gi_train;
-  core::ModelData model_data;
-  core::GroupSaConfig config;
-};
-
-bool LoadWorkspace(const std::string& dir, uint64_t seed,
-                   LoadedWorkspace* ws) {
-  if (Status s = data::LoadDataset(dir, &ws->dataset); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.message().c_str());
-    return false;
-  }
-  Rng rng(seed);
-  ws->ui = data::SplitEdges(ws->dataset.user_item, 0.2, 0.1, &rng);
-  ws->gi = data::GlobalSplitEdges(ws->dataset.group_item, 0.2, 0.1, &rng);
-  ws->ui_train = data::InteractionMatrix(ws->dataset.num_users,
-                                         ws->dataset.num_items, ws->ui.train);
-  ws->gi_train = data::InteractionMatrix(ws->dataset.groups.num_groups(),
-                                         ws->dataset.num_items, ws->gi.train);
-  ws->config = core::GroupSaConfig::Default();
-  ws->model_data.groups = &ws->dataset.groups;
-  ws->model_data.social = &ws->dataset.social;
-  ws->model_data.top_items =
-      data::TopItemsPerUser(ws->ui_train, ws->config.top_h);
-  ws->model_data.top_friends =
-      data::TopFriendsPerUser(ws->dataset.social, ws->config.top_h);
-  return true;
-}
-
-int CmdGenerate(const std::map<std::string, std::string>& flags) {
+int CmdGenerate(const Flags& flags) {
   const std::string out = FlagOr(flags, "out", "");
   if (out.empty()) return Fail("generate requires --out DIR");
   const std::string preset = FlagOr(flags, "preset", "yelp");
@@ -146,7 +87,7 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdStats(const std::map<std::string, std::string>& flags) {
+int CmdStats(const Flags& flags) {
   const std::string dir = FlagOr(flags, "data", "");
   if (dir.empty()) return Fail("stats requires --data DIR");
   data::Dataset dataset;
@@ -156,20 +97,23 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdTrain(const std::map<std::string, std::string>& flags) {
+int CmdTrain(const Flags& flags) {
   const std::string dir = FlagOr(flags, "data", "");
   const std::string model_path = FlagOr(flags, "model", "");
   if (dir.empty() || model_path.empty())
     return Fail("train requires --data DIR and --model FILE");
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
-  LoadedWorkspace ws;
-  if (!LoadWorkspace(dir, seed, &ws)) return 1;
-  const int epochs = std::atoi(FlagOr(flags, "epochs", "8").c_str());
+  int epochs = 0;
+  int snapshot_every = 0;
+  if (!IntFlag(flags, "epochs", "8", 0, INT_MAX, &epochs) ||
+      !IntFlag(flags, "snapshot_every", "0", 0, INT_MAX, &snapshot_every)) {
+    return 1;
+  }
+  Workspace ws;
+  if (!tools::LoadWorkspace(dir, flags, &ws)) return 1;
   ws.config.user_epochs = epochs;
   ws.config.group_epochs = epochs;
 
-  Rng rng(seed + 1);
+  Rng rng(ws.seed + 1);
   core::GroupSaModel model(ws.config, ws.dataset.num_users,
                            ws.dataset.num_items, ws.model_data, &rng);
   std::printf("training GroupSA (%lld parameters, %d+%d epochs)...\n",
@@ -181,8 +125,7 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   core::Trainer::FitOptions options;
   options.verbose = true;
   options.snapshot_path = FlagOr(flags, "snapshot", model_path + ".snap");
-  options.snapshot_every =
-      std::atoi(FlagOr(flags, "snapshot_every", "0").c_str());
+  options.snapshot_every = snapshot_every;
   if (flags.count("resume") != 0) {
     if (std::FILE* f = std::fopen(options.snapshot_path.c_str(), "rb")) {
       std::fclose(f);
@@ -208,24 +151,22 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdEvaluate(const std::map<std::string, std::string>& flags) {
+int CmdEvaluate(const Flags& flags) {
   const std::string dir = FlagOr(flags, "data", "");
   const std::string model_path = FlagOr(flags, "model", "");
   if (dir.empty() || model_path.empty())
     return Fail("evaluate requires --data DIR and --model FILE");
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
-  LoadedWorkspace ws;
-  if (!LoadWorkspace(dir, seed, &ws)) return 1;
-  Rng rng(seed + 1);
+  int candidates = 0;
+  if (!IntFlag(flags, "candidates", "100", 1, INT_MAX, &candidates)) return 1;
+  Workspace ws;
+  if (!tools::LoadWorkspace(dir, flags, &ws)) return 1;
+  Rng rng(ws.seed + 1);
   core::GroupSaModel model(ws.config, ws.dataset.num_users,
                            ws.dataset.num_items, ws.model_data, &rng);
   if (Status s = nn::LoadParameters(model.Parameters(), model_path); !s.ok())
     return Fail(s.message());
 
-  const int candidates =
-      std::atoi(FlagOr(flags, "candidates", "100").c_str());
-  Rng eval_rng(seed + 2);
+  Rng eval_rng(ws.seed + 2);
   const data::InteractionMatrix ui_all = ws.dataset.UserItemMatrix();
   const data::InteractionMatrix gi_all = ws.dataset.GroupItemMatrix();
   const auto user_cases =
@@ -249,52 +190,51 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdRecommend(const std::map<std::string, std::string>& flags) {
+int CmdRecommend(const Flags& flags) {
   const std::string dir = FlagOr(flags, "data", "");
   const std::string model_path = FlagOr(flags, "model", "");
   const std::string members_flag = FlagOr(flags, "members", "");
   if (dir.empty() || model_path.empty() || members_flag.empty())
     return Fail("recommend requires --data DIR --model FILE --members a,b,c");
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
-  LoadedWorkspace ws;
-  if (!LoadWorkspace(dir, seed, &ws)) return 1;
-  Rng rng(seed + 1);
+  int top_k = 0;
+  if (!IntFlag(flags, "top", "10", 1, INT_MAX, &top_k)) return 1;
+  Workspace ws;
+  if (!tools::LoadWorkspace(dir, flags, &ws)) return 1;
+  Rng rng(ws.seed + 1);
   core::GroupSaModel model(ws.config, ws.dataset.num_users,
                            ws.dataset.num_items, ws.model_data, &rng);
-  // Gracefully degrading serving: a bad checkpoint (missing, torn, corrupt)
-  // downgrades to the popularity baseline instead of refusing to serve,
-  // unless --strict asks for a hard failure.
-  core::InferenceEngine* engine = &model.inference();
-  std::string degrade_reason;
-  if (Status s = nn::LoadParameters(model.Parameters(), model_path);
-      !s.ok()) {
-    if (flags.count("strict") != 0) return Fail(s.message());
-    std::fprintf(stderr, "warning: %s; serving popularity fallback\n",
-                 s.message().c_str());
-    engine = nullptr;
-    degrade_reason = s.message();
-  }
-  core::FallbackRecommender recommender(engine, ws.ui.train,
-                                        ws.dataset.num_items);
 
   std::vector<data::UserId> members;
   for (const std::string& token : StrSplit(members_flag, ',')) {
-    if (token.empty()) continue;
-    members.push_back(std::atoi(token.c_str()));
+    if (!token.empty()) members.push_back(std::atoi(token.c_str()));
   }
-  if (members.empty()) return Fail("no member ids in --members");
+  // The daemon's request rules: an ad-hoc group is a list of distinct,
+  // known users.
+  if (Status s = model.inference().ValidateRequest(core::QueryKind::kMembers,
+                                                   members, top_k);
+      !s.ok()) {
+    return Fail("--members " + members_flag + ": " + s.message());
+  }
 
-  const int top_k = std::atoi(FlagOr(flags, "top", "10").c_str());
-  const core::FallbackRecommender::Response response =
-      recommender.RecommendForMembers(members, top_k, nullptr);
-  if (response.degraded) {
-    std::fprintf(stderr, "warning: degraded response (%s)\n",
-                 response.error.c_str());
+  // A bad checkpoint (missing, torn, corrupt) degrades to the popularity
+  // ranking instead of refusing to serve, unless --strict asks for a hard
+  // failure.
+  core::InferenceEngine::Ranking items;
+  const Status loaded = nn::LoadParameters(model.Parameters(), model_path);
+  if (loaded.ok()) {
+    items = model.inference().RecommendForMembers(members, top_k, nullptr);
+  } else {
+    if (flags.count("strict") != 0) return Fail(loaded.message());
+    std::fprintf(stderr,
+                 "warning: %s; serving popularity fallback\n"
+                 "warning: degraded response (model unavailable)\n",
+                 loaded.message().c_str());
+    items = core::TopKItems(
+        core::ItemCounts(ws.ui.train, ws.dataset.num_items), top_k);
   }
   std::printf("Top-%d for group {%s}%s:\n", top_k, members_flag.c_str(),
-              response.degraded ? " [popularity fallback]" : "");
-  for (const auto& [item, score] : response.items)
+              loaded.ok() ? "" : " [popularity fallback]");
+  for (const auto& [item, score] : items)
     std::printf("  item #%-5d score %.4f\n", item, score);
   return 0;
 }
@@ -317,15 +257,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv, 2);
+  const Flags flags = tools::ParseFlags(argc, argv, 2);
   // Fault injection for crash/IO testing (no-op unless the env var is set).
   failpoint::ArmFromEnv();
   // --threads N sizes the global pool for every command (train, evaluate,
-  // recommend); results are bit-identical at any width.
-  if (const int threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
-      threads > 0) {
-    parallel::SetGlobalThreads(threads);
-  }
+  // recommend); results are bit-identical at any width. 0 keeps the
+  // default.
+  int threads = 0;
+  if (!IntFlag(flags, "threads", "0", 0, INT_MAX, &threads)) return 1;
+  if (threads > 0) parallel::SetGlobalThreads(threads);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "stats") return CmdStats(flags);
   if (command == "train") return CmdTrain(flags);

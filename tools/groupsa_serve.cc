@@ -44,123 +44,29 @@
 // the serve.* fault-injection sites (e.g. serve.reload.swap=kill for the
 // crash-during-reload gate).
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
+#include <vector>
 
+#include "cli_common.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "data/io.h"
-#include "data/split.h"
-#include "data/tfidf.h"
 #include "nn/checkpoint.h"
 #include "serve/harness.h"
 #include "serve/server.h"
 #include "tensor/backend.h"
 
 using namespace groupsa;
+using tools::Fail;
+using tools::FlagOr;
+using tools::Flags;
+using tools::IntFlag;
 
 namespace {
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc &&
-               std::string_view(argv[i + 1]).substr(0, 2) != "--") {
-      // Anything but the next flag is this flag's value, "-1" included.
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
-}
-
-// Reads integer flag `name` (`fallback` when absent) into *out. A value that
-// is not a whole decimal number in [min, max] prints an error naming the
-// flag and returns false: the Server and CircuitBreaker constructors CHECK
-// these bounds, so a bad value must stop here rather than abort there.
-bool IntFlag(const std::map<std::string, std::string>& flags,
-             const std::string& name, const std::string& fallback, int min,
-             int max, int* out) {
-  const std::string text = FlagOr(flags, name, fallback);
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno != 0 || value < min ||
-      value > max) {
-    const std::string range = max == INT_MAX
-                                  ? StrFormat(">= %d", min)
-                                  : StrFormat("in [%d, %d]", min, max);
-    Fail(StrFormat("--%s must be an integer %s, got '%s'", name.c_str(),
-                   range.c_str(), text.c_str()));
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-// The dataset-derived state every model generation is rebuilt from (same
-// derivation as groupsa_cli train/evaluate, so a served model scores
-// exactly what its training process saved).
-struct Workspace {
-  data::Dataset dataset;
-  data::Split ui;
-  data::Split gi;
-  data::InteractionMatrix ui_train;
-  data::InteractionMatrix gi_train;
-  core::ModelData model_data;
-  core::GroupSaConfig config;
-  uint64_t seed = 1;
-};
-
-bool LoadWorkspace(const std::string& dir, uint64_t seed, Workspace* ws) {
-  if (Status s = data::LoadDataset(dir, &ws->dataset); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.message().c_str());
-    return false;
-  }
-  ws->seed = seed;
-  Rng rng(seed);
-  ws->ui = data::SplitEdges(ws->dataset.user_item, 0.2, 0.1, &rng);
-  ws->gi = data::GlobalSplitEdges(ws->dataset.group_item, 0.2, 0.1, &rng);
-  ws->ui_train = data::InteractionMatrix(ws->dataset.num_users,
-                                         ws->dataset.num_items, ws->ui.train);
-  ws->gi_train = data::InteractionMatrix(ws->dataset.groups.num_groups(),
-                                         ws->dataset.num_items, ws->gi.train);
-  ws->config = core::GroupSaConfig::Default();
-  ws->model_data.groups = &ws->dataset.groups;
-  ws->model_data.social = &ws->dataset.social;
-  ws->model_data.top_items =
-      data::TopItemsPerUser(ws->ui_train, ws->config.top_h);
-  ws->model_data.top_friends =
-      data::TopFriendsPerUser(ws->dataset.social, ws->config.top_h);
-  return true;
-}
 
 bool ParseRequestLine(const std::vector<std::string>& tokens,
                       serve::Request* request) {
@@ -240,22 +146,19 @@ void PrintHealth(const serve::ServerHealth& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = ParseFlags(argc, argv, 1);
+  const Flags flags = tools::ParseFlags(argc, argv, 1);
   failpoint::ArmFromEnv();
   const std::string dir = FlagOr(flags, "data", "");
   const std::string model_path = FlagOr(flags, "model", "");
   if (dir.empty() || model_path.empty())
     return Fail("groupsa_serve requires --data DIR and --model FILE");
-  if (const int threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
-      threads > 0) {
-    parallel::SetGlobalThreads(threads);
-  }
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
+  int threads = 0;
+  if (!IntFlag(flags, "threads", "0", 0, INT_MAX, &threads)) return 1;
+  if (threads > 0) parallel::SetGlobalThreads(threads);
   const bool strict = flags.count("strict") != 0;
 
-  Workspace ws;
-  if (!LoadWorkspace(dir, seed, &ws)) return 1;
+  tools::Workspace ws;
+  if (!tools::LoadWorkspace(dir, flags, &ws)) return 1;
 
   serve::ServeConfig config;
   if (!IntFlag(flags, "workers", "2", 1, INT_MAX, &config.workers) ||
@@ -271,18 +174,20 @@ int main(int argc, char** argv) {
   const std::string topk = FlagOr(flags, "topk", "exact");
   if (topk == "ivf") {
     config.topk = core::TopKMode::kIvf;
-    config.index.nlist = std::atoi(FlagOr(flags, "nlist", "0").c_str());
-    config.index.nprobe = std::atoi(FlagOr(flags, "nprobe", "0").c_str());
+    // 0 = the index's auto size rule.
+    if (!IntFlag(flags, "nlist", "0", 0, INT_MAX, &config.index.nlist) ||
+        !IntFlag(flags, "nprobe", "0", 0, INT_MAX, &config.index.nprobe)) {
+      return 1;
+    }
   } else if (topk != "exact") {
     return Fail("unknown --topk mode: " + topk);
   }
   const std::string score = FlagOr(flags, "score", "exact");
   if (score == "int8") {
     config.score = core::ScoreMode::kInt8;
-    if (const int rerank = std::atoi(FlagOr(flags, "rerank", "0").c_str());
-        rerank > 0) {
-      config.int8.rerank_k = rerank;
-    }
+    int rerank = 0;  // 0 = Int8Config's default
+    if (!IntFlag(flags, "rerank", "0", 0, INT_MAX, &rerank)) return 1;
+    if (rerank > 0) config.int8.rerank_k = rerank;
   } else if (score != "exact") {
     return Fail("unknown --score mode: " + score);
   }
@@ -292,9 +197,9 @@ int main(int argc, char** argv) {
   }
   config.deadline_ticks =
       std::strtoull(FlagOr(flags, "deadline", "0").c_str(), nullptr, 10);
-  config.backoff.max_retries =
-      std::atoi(FlagOr(flags, "retries", "0").c_str());
-  if (!IntFlag(flags, "reload-retries", "0", 0, INT_MAX,
+  if (!IntFlag(flags, "retries", "0", 0, INT_MAX,
+               &config.backoff.max_retries) ||
+      !IntFlag(flags, "reload-retries", "0", 0, INT_MAX,
                &config.reload_retries)) {
     return 1;
   }
