@@ -7,16 +7,34 @@
 namespace groupsa::core {
 namespace {
 
-// Cuts `ranked` to its top k under BetterRanked and sorts the survivors.
-// The nth_element cut and the final sort share the comparator, so the two
-// code paths (k < size vs k >= size) produce identical orderings on ties.
-void CutAndSort(std::vector<std::pair<data::ItemId, double>>* ranked, int k) {
-  if (static_cast<int>(ranked->size()) > k) {
-    std::nth_element(ranked->begin(), ranked->begin() + k, ranked->end(),
-                     BetterRanked);
-    ranked->resize(static_cast<size_t>(k));
+// The k-bounded selector behind both overloads: keeps the best min(k, n)
+// of the n candidates (item_at(i), scores[i]) that `skip` lets through.
+// With BetterRanked as the heap's less-than, the front of `kept` is the
+// worst entry kept; a candidate replaces it only by ranking better, and
+// sort_heap leaves the survivors best first.
+template <typename ItemAt>
+std::vector<std::pair<data::ItemId, double>> SelectTopK(
+    size_t n, const ItemAt& item_at, const std::vector<double>& scores,
+    int k, const std::function<bool(data::ItemId)>& skip) {
+  std::vector<std::pair<data::ItemId, double>> kept;
+  if (k <= 0 || n == 0) return kept;
+  const size_t bound = std::min(n, static_cast<size_t>(k));
+  kept.reserve(bound);
+  for (size_t i = 0; i < n; ++i) {
+    const data::ItemId item = item_at(i);
+    if (skip != nullptr && skip(item)) continue;
+    const std::pair<data::ItemId, double> candidate(item, scores[i]);
+    if (kept.size() < bound) {
+      kept.push_back(candidate);
+      std::push_heap(kept.begin(), kept.end(), BetterRanked);
+    } else if (BetterRanked(candidate, kept.front())) {
+      std::pop_heap(kept.begin(), kept.end(), BetterRanked);
+      kept.back() = candidate;
+      std::push_heap(kept.begin(), kept.end(), BetterRanked);
+    }
   }
-  std::sort(ranked->begin(), ranked->end(), BetterRanked);
+  std::sort_heap(kept.begin(), kept.end(), BetterRanked);
+  return kept;
 }
 
 }  // namespace
@@ -30,16 +48,9 @@ bool BetterRanked(const std::pair<data::ItemId, double>& a,
 std::vector<std::pair<data::ItemId, double>> TopKItems(
     const std::vector<double>& scores, int k,
     const std::function<bool(data::ItemId)>& skip) {
-  std::vector<std::pair<data::ItemId, double>> ranked;
-  if (k <= 0) return ranked;
-  ranked.reserve(scores.size());
-  for (size_t v = 0; v < scores.size(); ++v) {
-    const auto item = static_cast<data::ItemId>(v);
-    if (skip != nullptr && skip(item)) continue;
-    ranked.emplace_back(item, scores[v]);
-  }
-  CutAndSort(&ranked, k);
-  return ranked;
+  return SelectTopK(
+      scores.size(), [](size_t v) { return static_cast<data::ItemId>(v); },
+      scores, k, skip);
 }
 
 std::vector<std::pair<data::ItemId, double>> TopKItems(
@@ -47,15 +58,8 @@ std::vector<std::pair<data::ItemId, double>> TopKItems(
     int k, const std::function<bool(data::ItemId)>& skip) {
   GROUPSA_CHECK(items.size() == scores.size(),
                 "TopKItems subset: items/scores size mismatch");
-  std::vector<std::pair<data::ItemId, double>> ranked;
-  if (k <= 0) return ranked;
-  ranked.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (skip != nullptr && skip(items[i])) continue;
-    ranked.emplace_back(items[i], scores[i]);
-  }
-  CutAndSort(&ranked, k);
-  return ranked;
+  return SelectTopK(
+      items.size(), [&items](size_t i) { return items[i]; }, scores, k, skip);
 }
 
 std::vector<data::ItemId> AllItems(int num_items) {

@@ -14,8 +14,7 @@ namespace groupsa::core {
 // library: higher score first, equal scores broken by ascending item id.
 // Exact scoring, IVF re-rank, probe selection and popularity answers all rank
 // through this one function, which is what lets tied scores come out
-// byte-identical across paths (and across the nth_element cut vs full-sort
-// code paths below).
+// byte-identical across paths (and identical to sorting every candidate).
 bool BetterRanked(const std::pair<data::ItemId, double>& a,
                   const std::pair<data::ItemId, double>& b);
 
@@ -24,18 +23,22 @@ bool BetterRanked(const std::pair<data::ItemId, double>& a,
 // ranking; pass nullptr to keep everything. Returns (item, score) sorted by
 // BetterRanked: descending score, ties broken by ascending item id.
 //
-// Selection uses std::nth_element to cut the candidate set to K before the
-// final sort, so full-catalog ranking costs O(n + k log k) instead of
-// O(n log n). Because the comparator is a strict total order (the item-id
-// tie-break), the result is identical to sorting everything and truncating.
+// Selection keeps a heap of at most min(k, n) entries whose front is the
+// worst one kept, so a candidate that does not enter the top k costs one
+// comparison, and ranking n candidates costs O(n log k) at worst. The
+// returned vector's capacity() is at most min(k, n): an answer never holds
+// a catalog-sized buffer. Because the comparator is a strict total order
+// (the item-id tie-break), the result is identical to sorting everything
+// and truncating.
 std::vector<std::pair<data::ItemId, double>> TopKItems(
     const std::vector<double>& scores, int k,
     const std::function<bool(data::ItemId)>& skip = nullptr);
 
 // Subset variant for candidate re-ranking: scores[i] is the score of
 // items[i] (any order, no duplicates expected). Same comparator, same
-// nth_element-then-sort selection, so ranking a subset that happens to cover
-// the whole catalog returns exactly what the full-catalog overload would.
+// k-bounded selection and capacity bound (n = items.size()), so ranking a
+// subset that happens to cover the whole catalog returns exactly what the
+// full-catalog overload would.
 std::vector<std::pair<data::ItemId, double>> TopKItems(
     const std::vector<data::ItemId>& items, const std::vector<double>& scores,
     int k, const std::function<bool(data::ItemId)>& skip = nullptr);

@@ -1,7 +1,8 @@
 // Retrieval-plan suite: pins the top-10 bits of every (config x query kind x
-// plan) cell of the one retrieval pipeline, and checks the two full-probe
+// plan) cell of the one retrieval pipeline, checks the two full-probe
 // identities (IVF full probe == exact, IVF+int8 full probe == int8) for
-// every query kind. Race-labelled so the TSan lane covers the rep cache and
+// every query kind, and checks that every cell's answer holds at most k
+// entries. Race-labelled so the TSan lane covers the rep cache and
 // the IVF / quantized state builds under the thread pool.
 //
 // Query kinds: a user rep, a cached group's voting-stack rep, an ad-hoc
@@ -281,6 +282,23 @@ TEST(RetrievePlanTest, TopTenBitsArePinned) {
         }
       }
     });
+  }
+}
+
+TEST(RetrievePlanTest, EveryPlanAnswersWithAtMostKEntries) {
+  // A top-10 answer over 600 items, a probed subset or a 32-entry int8
+  // shortlist holds 10 entries' storage, not one per candidate.
+  World w(Configs()[0].config);
+  Prepare(w);
+  FastGroupRecommender fast(w.model.get());
+  for (QueryKind kind : kKinds) {
+    for (const Plan& plan : kPlans) {
+      SCOPED_TRACE(::testing::Message()
+                   << KindName(kind) << " / " << plan.name);
+      const Ranking top = Answer(w, fast, kind, plan);
+      ASSERT_EQ(top.size(), 10u);
+      EXPECT_LE(top.capacity(), 10u);
+    }
   }
 }
 

@@ -90,7 +90,8 @@ uint64_t AnswerDigest(const std::vector<Response>& responses) {
 
 // Every degraded path answers the probes with the same popularity ranking:
 // training-interaction counts, count descending then id ascending, with the
-// request's seen items skipped. The digest pins those bits.
+// request's seen items skipped. The digest pins those bits. Each answer
+// holds storage for its k = 8 entries only, not one per catalog item.
 constexpr uint64_t kDegradedDigest = 0x4b3cd7803d9098bcULL;
 
 void ExpectDegradedBits(const std::vector<Response>& responses,
@@ -100,6 +101,7 @@ void ExpectDegradedBits(const std::vector<Response>& responses,
     EXPECT_TRUE(r.degraded) << error;
     EXPECT_EQ(r.error, error);
     EXPECT_EQ(r.items.size(), 8u) << error;
+    EXPECT_LE(r.items.capacity(), 8u) << error;
   }
   // Each probe's seen items reach into the popularity top 8.
   for (size_t i = 0; i < 3; ++i)
@@ -187,6 +189,9 @@ TEST_F(ServerTest, PipelineMatchesDirectEngineBitForBit) {
     EXPECT_FALSE(response.rejected);
     EXPECT_EQ(response.generation, 1u);
     EXPECT_TRUE(BitIdenticalItems(response.items, rig.Direct(request)))
+        << FormatRequest(request);
+    // The model path's answer is k-sized too, not catalog-sized.
+    EXPECT_LE(response.items.capacity(), static_cast<size_t>(request.k))
         << FormatRequest(request);
   }
   rig.server->Stop();

@@ -18,8 +18,9 @@
 #   serve-golden  serve-mode golden gate (train -> checkpoint -> scripted
 #                 daemon run, byte-compared at 1x1 vs 4x4 workers/threads)
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
-#                 from the last good checkpoint) and the bad-numeric-flag
-#                 gate (exit 1 naming the flag, never an abort)
+#                 from the last good checkpoint), the bad-numeric-flag
+#                 gate (exit 1 naming the flag, never an abort) and the
+#                 bad-script-number gate (reported, never served)
 #   index         IVF retrieval gates: nprobe=nlist exact-parity (0-ULP vs
 #                 kExact), the pinned retrieval-plan top-10 digests,
 #                 recall@10 on the seeded world, the pinned
@@ -35,8 +36,8 @@
 #                 transcripts at 1x1 vs 4x4 workers/threads, extended
 #                 conservation, breaker trip + recovery) and the resilience
 #                 suite, each under both TSan and ASan
-#   asan          fault-labelled tests, tensor-pool, checkpoint, grad-shard
-#                 and serving suites under ASan
+#   asan          fault-labelled tests, tensor-pool, checkpoint, grad-shard,
+#                 top-K selector and serving suites under ASan
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
@@ -283,7 +284,9 @@ EOF
   # constructor and abort with exit 134, or run silently wrong (a training
   # run of the wrong length, a request the daemon would reject). Arguments
   # that start with a groupsa_cli command run groupsa_cli; the rest run
-  # groupsa_serve.
+  # groupsa_serve. Rows that name the same flag write the same
+  # flag_err_<flag>.txt, so the check after the loop reads the last
+  # `members` row's stderr.
   local flag args rc
   while read -r flag args; do
     set +e
@@ -327,6 +330,8 @@ breaker-probes --breaker --breaker-probes 1.5
 epochs train --epochs -1
 epochs train --epochs two
 top recommend --members 1,2 --top 0
+members recommend --members 1,abc
+members recommend --members 4294967297,2
 members recommend --members 2,0,2
 EOF
   # A repeated member breaks the daemon's request rules, and the command
@@ -336,6 +341,23 @@ EOF
     exit 1
   fi
   echo "serve flag gate OK"
+
+  echo "=== serve script gate (malformed numbers are bad commands) ==="
+  # An id or k that is not a whole decimal number must not be read as a
+  # different request (atoi would serve "user abc 3" as user 0): the line
+  # is reported and nothing is submitted.
+  printf 'user abc 3\nmembers 1,abc 3\ngroup 7 3z\nquit\n' \
+    > "${serve_dir}/bad_numbers.txt"
+  ./build/tools/groupsa_serve --data "${serve_dir}" \
+    --model "${serve_dir}/model.ckpt" --strict \
+    --script "${serve_dir}/bad_numbers.txt" > "${serve_dir}/bad_numbers.out"
+  if [ "$(grep -c 'bad command:' "${serve_dir}/bad_numbers.out")" -ne 3 ] ||
+     grep -q ' -> ' "${serve_dir}/bad_numbers.out"; then
+    echo "FAIL: malformed script numbers were served or not reported" >&2
+    cat "${serve_dir}/bad_numbers.out" >&2
+    exit 1
+  fi
+  echo "serve script gate OK"
 
   echo "=== crash-during-reload gate ==="
   # A SIGKILL in the middle of the generation swap must not corrupt
@@ -511,6 +533,12 @@ lane_asan() {
   # ASan checks both offset schemes (neither suite carries a label above).
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'CheckpointTest|CheckpointCrashDeathTest|GradShardTest'
+  echo "=== asan ctest (top-K selector) ==="
+  # Every ranking path ends in core::TopKItems' k-bounded heap; ASan checks
+  # its index arithmetic at k = 1, k past n and skip-everything (tests_core
+  # carries no label, so no step above runs these suites).
+  ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
+    -R 'TopKItemsTest|TopKSubsetTest|BetterRankedTest'
   echo "=== asan ctest (serving suite) ==="
   # The serving daemon's queue, degrade and reload paths under ASan: no
   # leaked promises, no use-after-free across generation swaps.

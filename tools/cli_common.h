@@ -1,11 +1,13 @@
-// Front end shared by groupsa_cli and groupsa_serve: flag parsing, integer
-// flag checking, error exit, and the dataset-derived workspace every model
-// is built from. One derivation for both tools is what lets the daemon
-// serve a checkpoint exactly as its training process scored it.
+// Front end shared by groupsa_cli and groupsa_serve: flag parsing, one
+// whole-number check for int flags, id lists and script numbers, error exit,
+// and the dataset-derived workspace every model is built from. One
+// derivation for both tools is what lets the daemon serve a checkpoint
+// exactly as its training process scored it.
 
 #ifndef GROUPSA_TOOLS_CLI_COMMON_H_
 #define GROUPSA_TOOLS_CLI_COMMON_H_
 
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -61,6 +64,37 @@ inline int Fail(const std::string& message) {
   return 1;
 }
 
+// Parses `text` as a whole decimal int in [min, max] into *out: an optional
+// sign, then digits to the end. Empty text, blanks, trailing characters
+// and values outside the range (or outside int) are malformed and leave
+// *out alone.
+inline bool ParseWholeInt(const std::string& text, int min, int max,
+                          int* out) {
+  // strtoll would skip leading blanks and read "" as 0.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0)
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno != 0 || value < min || value > max) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// Parses a comma-separated id list ("1,2,3") into *out, each id through
+// ParseWholeInt; an empty token ("1,,2", "1,") is malformed. Only the
+// syntax is checked here: range and duplicate ids are core::ValidateQuery's.
+inline bool ParseIdList(const std::string& text, std::vector<int32_t>* out) {
+  std::vector<int32_t> ids;
+  for (const std::string& token : StrSplit(text, ',')) {
+    int id = 0;
+    if (!ParseWholeInt(token, INT_MIN, INT_MAX, &id)) return false;
+    ids.push_back(id);
+  }
+  *out = std::move(ids);
+  return true;
+}
+
 // Reads integer flag `name` (`fallback` when absent) into *out. A value that
 // is not a whole decimal number in [min, max] prints an error naming the
 // flag and returns false, so a bad value stops here rather than reaching a
@@ -68,11 +102,7 @@ inline int Fail(const std::string& message) {
 inline bool IntFlag(const Flags& flags, const std::string& name,
                     const std::string& fallback, int min, int max, int* out) {
   const std::string text = FlagOr(flags, name, fallback);
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno != 0 || value < min ||
-      value > max) {
+  if (!ParseWholeInt(text, min, max, out)) {
     const std::string range = max == INT_MAX
                                   ? StrFormat(">= %d", min)
                                   : StrFormat("in [%d, %d]", min, max);
@@ -80,7 +110,6 @@ inline bool IntFlag(const Flags& flags, const std::string& name,
                    range.c_str(), text.c_str()));
     return false;
   }
-  *out = static_cast<int>(value);
   return true;
 }
 

@@ -45,7 +45,6 @@
 
 #include "cli_common.h"
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/inference_engine.h"
 #include "core/topk.h"
@@ -205,8 +204,9 @@ int CmdRecommend(const Flags& flags) {
                            ws.dataset.num_items, ws.model_data, &rng);
 
   std::vector<data::UserId> members;
-  for (const std::string& token : StrSplit(members_flag, ',')) {
-    if (!token.empty()) members.push_back(std::atoi(token.c_str()));
+  if (!tools::ParseIdList(members_flag, &members)) {
+    return Fail("--members " + members_flag +
+                ": not a comma-separated list of whole-number user ids");
   }
   // The daemon's request rules: an ad-hoc group is a list of distinct,
   // known users.

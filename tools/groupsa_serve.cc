@@ -68,25 +68,27 @@ using tools::IntFlag;
 
 namespace {
 
+// Parses "user|group <id> <k> [x]" or "members <a,b,c> <k> [x]". Every id
+// and k must be a whole decimal number (tools::ParseWholeInt); whether the
+// request is valid for the model is Server::Submit's call.
 bool ParseRequestLine(const std::vector<std::string>& tokens,
                       serve::Request* request) {
   if (tokens.size() < 3) return false;
+  bool ids_ok = false;
   if (tokens[0] == "user") {
     request->kind = serve::Request::Kind::kUser;
-    request->user = std::atoi(tokens[1].c_str());
+    ids_ok = tools::ParseWholeInt(tokens[1], INT_MIN, INT_MAX, &request->user);
   } else if (tokens[0] == "group") {
     request->kind = serve::Request::Kind::kGroup;
-    request->group = std::atoi(tokens[1].c_str());
+    ids_ok = tools::ParseWholeInt(tokens[1], INT_MIN, INT_MAX, &request->group);
   } else if (tokens[0] == "members") {
     request->kind = serve::Request::Kind::kMembers;
-    for (const std::string& token : StrSplit(tokens[1], ',')) {
-      if (!token.empty()) request->members.push_back(std::atoi(token.c_str()));
-    }
-    if (request->members.empty()) return false;
-  } else {
+    ids_ok = tools::ParseIdList(tokens[1], &request->members);
+  }
+  if (!ids_ok ||
+      !tools::ParseWholeInt(tokens[2], INT_MIN, INT_MAX, &request->k)) {
     return false;
   }
-  request->k = std::atoi(tokens[2].c_str());
   request->exclude_seen = tokens.size() > 3 && tokens[3] == "x";
   return true;
 }
