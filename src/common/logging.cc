@@ -1,11 +1,15 @@
 #include "common/logging.h"
 
+#include <atomic>
 #include <cstdio>
 
 namespace groupsa {
 namespace {
 
-LogLevel g_min_level = LogLevel::kInfo;
+// Written by SetLogLevel, read by every thread that logs. Relaxed order is
+// enough: the level guards no other data, and a logger racing a SetLogLevel
+// may see either level.
+std::atomic<LogLevel> g_min_level{LogLevel::kInfo};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -23,12 +27,14 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_min_level = level; }
+void SetLogLevel(LogLevel level) {
+  g_min_level.store(level, std::memory_order_relaxed);
+}
 
-LogLevel GetLogLevel() { return g_min_level; }
+LogLevel GetLogLevel() { return g_min_level.load(std::memory_order_relaxed); }
 
 void Log(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_min_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(GetLogLevel())) return;
   std::fprintf(stderr, "[%s] %s\n", LevelName(level), message.c_str());
 }
 

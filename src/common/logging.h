@@ -12,13 +12,14 @@ enum class LogLevel {
   kError = 3,
 };
 
-// Sets the minimum level emitted to stderr. Default is kInfo.
+// Sets the minimum level emitted to stderr. Default is kInfo. The level is
+// one atomic: any thread may set or read it while others log.
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 // Emits `message` to stderr with a level prefix if `level` is at or above the
-// configured minimum. Thread-compatible (experiments here are single-threaded
-// per process).
+// configured minimum. Thread-safe: each line goes out in one fprintf call,
+// which stdio locks, so lines from concurrent loggers never interleave.
 void Log(LogLevel level, const std::string& message);
 
 void LogDebug(const std::string& message);

@@ -5,20 +5,22 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "common/status.h"
 
 namespace groupsa {
 
-// Little-endian append-only byte buffer used to build checkpoint sections in
-// memory before they hit disk. Keeping serialization off the FILE* means a
-// section is either fully present (with a matching CRC) or absent — there is
-// no half-written in-memory state to reason about. A writer that knows its
-// final size reserves it up front, so the payload is one allocation.
-class ByteWriter {
+// Destination of a little-endian encoding. The Write* helpers all funnel
+// into Append, which each sink implements: ByteWriter keeps the bytes in a
+// string, and the checkpoint writer's sinks (nn/checkpoint.cc) fold them
+// into a CRC and a length, or stream them to disk in 64 KiB chunks. An
+// encoder written against ByteSink therefore serves every destination with
+// one byte layout.
+class ByteSink {
  public:
-  void Reserve(size_t n) { bytes_.reserve(n); }
+  virtual void Append(const void* data, size_t len) = 0;
+
   void WriteU32(uint32_t v) { Append(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { Append(&v, sizeof(v)); }
   void WriteI64(int64_t v) { Append(&v, sizeof(v)); }
@@ -26,14 +28,29 @@ class ByteWriter {
   void WriteFloats(const float* data, size_t count) {
     Append(data, count * sizeof(float));
   }
+  void WriteI64s(const int64_t* data, size_t count) {
+    Append(data, count * sizeof(int64_t));
+  }
   void WriteString(const std::string& s) {
     WriteU32(static_cast<uint32_t>(s.size()));
     Append(s.data(), s.size());
   }
-  // Overwrites the u32 at byte `offset`, written earlier as a placeholder
-  // (e.g. a CRC over bytes that follow it).
-  void PatchU32(size_t offset, uint32_t v) {
-    std::memcpy(bytes_.data() + offset, &v, sizeof(v));
+
+ protected:
+  ~ByteSink() = default;
+};
+
+// A ByteSink that keeps the bytes in memory, for small fixed-layout payloads
+// (a snapshot's trainer section, a config fingerprint) and for callers that
+// want a whole encoding as a string (EncodeParameters). Checkpoint saves do
+// not build their large sections here: they stream them (nn/checkpoint.h).
+// A writer that knows its final size reserves it up front, so the string is
+// one allocation.
+class ByteWriter final : public ByteSink {
+ public:
+  void Reserve(size_t n) { bytes_.reserve(n); }
+  void Append(const void* data, size_t len) override {
+    bytes_.append(static_cast<const char*>(data), len);
   }
 
   size_t size() const { return bytes_.size(); }
@@ -41,9 +58,6 @@ class ByteWriter {
   std::string Release() { return std::move(bytes_); }
 
  private:
-  void Append(const void* data, size_t len) {
-    bytes_.append(static_cast<const char*>(data), len);
-  }
   std::string bytes_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/groupsa_model.h"
 
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -53,12 +54,12 @@ GroupSaModel::UserForward GroupSaModel::BuildUserForward(ag::Tape* tape,
   fwd.user = user;
   fwd.embedding = user_emb_->Lookup(tape, user);
   if (user_modeling_ != nullptr && config_.effective_user_blend() > 0.0f) {
-    const std::vector<data::ItemId> no_items;
-    const std::vector<data::UserId> no_friends;
-    const std::vector<data::ItemId>& top_items =
-        data_.top_items.empty() ? no_items : data_.top_items[user];
-    const std::vector<data::UserId>& top_friends =
-        data_.top_friends.empty() ? no_friends : data_.top_friends[user];
+    const std::span<const data::ItemId> top_items =
+        data_.top_items.empty() ? std::span<const data::ItemId>()
+                                : data_.top_items[user];
+    const std::span<const data::UserId> top_friends =
+        data_.top_friends.empty() ? std::span<const data::UserId>()
+                                  : data_.top_friends[user];
     // Optionally detach the guide so the query role of emb^U does not
     // interfere with its tower-input role (see config.h).
     ag::TensorPtr guide =
@@ -235,10 +236,9 @@ Status GroupSaModel::ValidateGraph() {
   size_t best_cover = 0;
   for (int u = 0; u < num_users(); ++u) {
     size_t cover = 0;
-    if (u < static_cast<int>(data_.top_items.size()))
-      cover += data_.top_items[static_cast<size_t>(u)].size();
-    if (u < static_cast<int>(data_.top_friends.size()))
-      cover += data_.top_friends[static_cast<size_t>(u)].size();
+    if (u < data_.top_items.num_rows()) cover += data_.top_items[u].size();
+    if (u < data_.top_friends.num_rows())
+      cover += data_.top_friends[u].size();
     if (cover > best_cover) {
       best_cover = cover;
       user = u;

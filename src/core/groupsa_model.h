@@ -11,6 +11,7 @@
 #include "core/user_modeling.h"
 #include "core/voting_scheme.h"
 #include "data/group_table.h"
+#include "data/id_lists.h"
 #include "data/interaction_matrix.h"
 #include "data/social_graph.h"
 #include "nn/embedding.h"
@@ -26,8 +27,8 @@ class InferenceEngine;
 struct ModelData {
   const data::GroupTable* groups = nullptr;
   const data::SocialGraph* social = nullptr;
-  std::vector<std::vector<data::ItemId>> top_items;     // per user
-  std::vector<std::vector<data::UserId>> top_friends;   // per user
+  data::IdLists top_items;    // one row per user
+  data::IdLists top_friends;  // one row per user
 };
 
 // The GroupSA network (Fig. 1): shared user/item embeddings, the user

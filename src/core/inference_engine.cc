@@ -431,7 +431,9 @@ InferenceEngine::GetSplitWeights() {
 
 const tensor::Matrix* InferenceEngine::ModelLatentTable() const {
   const UserModeling* um = model_->user_modeling();
-  if (um == nullptr || !um->has_item_space()) return nullptr;
+  if (um == nullptr || !um->has_item_space() ||
+      um->item_space() == &model_->item_embedding())
+    return nullptr;
   return &um->item_space()->table()->value();
 }
 
@@ -494,8 +496,9 @@ InferenceEngine::QuantState InferenceEngine::BuildQuantState() const {
     qs.latents = QuantizeRows(*latent_table);
     qs.ref_latent = ColMeans(*latent_table);
   } else {
-    // Latent concat rows fall back to the item embedding (the Group-I
-    // behaviour in ScoreBatchUser), so the linearization point does too.
+    // Latent concat rows fall back to the item embedding (Group-I, or a
+    // latent space tied to it; see ScoreBatchUser), so the linearization
+    // point does too.
     qs.ref_latent = qs.ref_item;
   }
   return qs;
@@ -671,7 +674,8 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
                                 &ws.r1b);
 
     if (blended) {
-      // r^R2 over [h_j (+) x_t^V] (x^V falls back to emb^V for Group-I).
+      // r^R2 over [h_j (+) x_t^V] (x^V is emb^V for Group-I and when the
+      // latent space is tied to it).
       const Matrix* latents = &ws.embs;
       if (tables.latents != nullptr) {
         GatherRowsInto(*tables.latents, ids, c, &ws.latents);

@@ -179,7 +179,7 @@ class InferenceEngine {
   // the table quantization off the request path.
   struct QuantState {
     QuantizedRows items;       // item-embedding table, row-quantized
-    QuantizedRows latents;     // user-modeling item-space table, or empty
+    QuantizedRows latents;     // ModelLatentTable() quantized, or empty
     tensor::Matrix ref_item;   // 1 x d catalog mean of the item table
     tensor::Matrix ref_latent;  // 1 x d mean of the latent table (or ref_item)
     size_t MemoryBytes() const {
@@ -248,8 +248,8 @@ class InferenceEngine {
 
   // The item-side rows a query scores: the catalog's live tables, or the
   // IVF index's per-list pseudo-items — same code, same bits. `latents` may
-  // be null (latent concat rows fall back to `items`, the Group-I
-  // behaviour); `attn_prefix` holds Gemm(*items, attn_w_top).
+  // be null (latent concat rows fall back to `items`: Group-I, or x^V tied
+  // to the item embedding); `attn_prefix` holds Gemm(*items, attn_w_top).
   struct ItemTables {
     const tensor::Matrix* items = nullptr;
     const tensor::Matrix* latents = nullptr;
@@ -336,8 +336,11 @@ class InferenceEngine {
                                       const SplitWeights& sw,
                                       const ItemTables& tables) const;
 
-  // The item-space latent table when user modeling carries one, else null
-  // (shared by the catalog scoring paths and the IVF state build).
+  // The item-space latent table when user modeling carries one of its own,
+  // else null: Group-I has none, and under tie_latent_spaces x^V is the
+  // item embedding, which the null fallbacks already read, so the table is
+  // neither quantized, list-averaged nor gathered twice. Shared by the
+  // catalog scoring paths and the IVF and int8 state builds.
   const tensor::Matrix* ModelLatentTable() const;
 
   // Index plus the derived centroid scoring tables, cached per parameter
@@ -346,7 +349,7 @@ class InferenceEngine {
     ItemIndex index;
     tensor::Matrix centroid_table;    // ListMeans over the item embeddings
     tensor::Matrix centroid_prefix;   // Gemm(centroid_table, attn_w_top)
-    tensor::Matrix centroid_latents;  // ListMeans over item_space, or empty
+    tensor::Matrix centroid_latents;  // ModelLatentTable() list means, or empty
     ItemTables Tables() const {
       return {&centroid_table,
               centroid_latents.empty() ? nullptr : &centroid_latents,

@@ -412,9 +412,11 @@ uint64_t Trainer::ConfigFingerprint() const {
 Status Trainer::WriteSnapshot(const std::string& path, int unit,
                               int next_batch, double acc_loss, int acc_losses,
                               const Rng::State& unit_start) const {
+  // The params and adam sections stream from the live tables.
   nn::CheckpointWriter writer;
-  writer.AddSection("params", nn::EncodeParameters(model_->Parameters()));
-  writer.AddSection("adam", optimizer_->SerializeState());
+  writer.AddSection("params", nn::ParamsSection(model_->Parameters()));
+  writer.AddSection("adam",
+                    [this](ByteSink* sink) { optimizer_->WriteState(sink); });
   ByteWriter t;
   t.WriteU64(ConfigFingerprint());
   t.WriteU32(static_cast<uint32_t>(unit));
@@ -472,13 +474,16 @@ Status Trainer::ResumeFrom(const std::string& path) {
         num_units, path.c_str()));
   }
 
-  // Restore. Each step stages internally and only commits when valid, so a
-  // corrupt section cannot leave the model half-mutated.
-  GROUPSA_RETURN_IF_ERROR_CTX(
-      nn::DecodeParameters(model_->Parameters(), *params),
-      "resume from " + path);
+  // Restore. The params section is checked before the optimizer restores
+  // (all-or-nothing) and applied after it, and that apply cannot fail, so a
+  // snapshot that fails anywhere leaves parameters, optimizer and RNG as
+  // they were. Both copy straight from the reader's buffer.
+  const std::vector<nn::ParamEntry> model_params = model_->Parameters();
+  GROUPSA_RETURN_IF_ERROR_CTX(nn::CheckParameters(model_params, *params),
+                              "resume from " + path);
   GROUPSA_RETURN_IF_ERROR_CTX(optimizer_->RestoreState(*adam),
                               "resume from " + path);
+  nn::ApplyParameters(model_params, *params);
   rng_->RestoreState(rng_state);
   has_resume_ = true;
   resume_unit_ = static_cast<int>(unit);

@@ -1,5 +1,7 @@
 #include "core/user_modeling.h"
 
+#include <vector>
+
 #include "autograd/ops.h"
 
 namespace groupsa::core {
@@ -62,8 +64,8 @@ UserModeling::UserModeling(const GroupSaConfig& config, int num_users,
 
 ag::TensorPtr UserModeling::BuildUserLatent(
     ag::Tape* tape, const ag::TensorPtr& user_embedding,
-    const std::vector<data::ItemId>& top_items,
-    const std::vector<data::UserId>& top_friends, bool training, Rng* rng) {
+    std::span<const data::ItemId> top_items,
+    std::span<const data::UserId> top_friends, bool training, Rng* rng) {
   const int d = config_.embedding_dim;
   std::vector<ag::TensorPtr> sides;
 

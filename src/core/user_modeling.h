@@ -2,7 +2,7 @@
 #define GROUPSA_CORE_USER_MODELING_H_
 
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "core/config.h"
 #include "data/types.h"
@@ -37,8 +37,8 @@ class UserModeling : public nn::Module {
   // corresponding side contributes a zero vector). Returns a 1 x d tensor.
   ag::TensorPtr BuildUserLatent(ag::Tape* tape,
                                 const ag::TensorPtr& user_embedding,
-                                const std::vector<data::ItemId>& top_items,
-                                const std::vector<data::UserId>& top_friends,
+                                std::span<const data::ItemId> top_items,
+                                std::span<const data::UserId> top_friends,
                                 bool training, Rng* rng);
 
   // Item-space latent factor lookup x_h^V (used as the item side of the

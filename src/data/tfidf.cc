@@ -8,50 +8,55 @@
 namespace groupsa::data {
 namespace {
 
-// Keeps the `top_h` ids with the largest scores, stably (score desc, id asc).
-template <typename Scorer>
-std::vector<int32_t> TopByScore(const std::vector<int32_t>& ids, int top_h,
-                                const Scorer& score) {
+// One row per `row(r)`, r < num_rows: its `top_h` ids with the largest
+// scores, stably (score desc, id asc). The table is sized exactly before it
+// is filled.
+template <typename RowFn, typename Scorer>
+IdLists TopByScore(int num_rows, int top_h, const RowFn& row,
+                   const Scorer& score) {
+  GROUPSA_CHECK(top_h > 0, "top_h must be positive");
+  const size_t keep_max = static_cast<size_t>(top_h);
+  size_t total = 0;
+  for (int r = 0; r < num_rows; ++r)
+    total += std::min(keep_max, row(r).size());
+  IdLists out;
+  out.Reserve(static_cast<size_t>(num_rows), total);
   std::vector<std::pair<double, int32_t>> scored;
-  scored.reserve(ids.size());
-  for (int32_t id : ids) scored.emplace_back(score(id), id);
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  const int keep = std::min<int>(top_h, static_cast<int>(scored.size()));
-  std::vector<int32_t> out;
-  out.reserve(keep);
-  for (int i = 0; i < keep; ++i) out.push_back(scored[i].second);
+  std::vector<int32_t> kept;
+  for (int r = 0; r < num_rows; ++r) {
+    scored.clear();
+    for (int32_t id : row(r)) scored.emplace_back(score(id), id);
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    kept.clear();
+    for (size_t i = 0; i < std::min(keep_max, scored.size()); ++i)
+      kept.push_back(scored[i].second);
+    out.AddRow(kept);
+  }
   return out;
 }
 
 }  // namespace
 
-std::vector<std::vector<ItemId>> TopItemsPerUser(const InteractionMatrix& ui,
-                                                 int top_h) {
-  GROUPSA_CHECK(top_h > 0, "top_h must be positive");
+IdLists TopItemsPerUser(const InteractionMatrix& ui, int top_h) {
   const double num_users = std::max(1, ui.num_rows());
-  std::vector<std::vector<ItemId>> out(ui.num_rows());
-  for (int u = 0; u < ui.num_rows(); ++u) {
-    out[u] = TopByScore(ui.Row(u), top_h, [&](ItemId item) {
-      return std::log(num_users / (1.0 + ui.ColDegree(item)));
-    });
-  }
-  return out;
+  return TopByScore(
+      ui.num_rows(), top_h, [&](int u) -> const auto& { return ui.Row(u); },
+      [&](ItemId item) {
+        return std::log(num_users / (1.0 + ui.ColDegree(item)));
+      });
 }
 
-std::vector<std::vector<UserId>> TopFriendsPerUser(const SocialGraph& graph,
-                                                   int top_h) {
-  GROUPSA_CHECK(top_h > 0, "top_h must be positive");
+IdLists TopFriendsPerUser(const SocialGraph& graph, int top_h) {
   const double num_users = std::max(1, graph.num_users());
-  std::vector<std::vector<UserId>> out(graph.num_users());
-  for (UserId u = 0; u < graph.num_users(); ++u) {
-    out[u] = TopByScore(graph.Neighbors(u), top_h, [&](UserId friend_id) {
-      return std::log(num_users / (1.0 + graph.Degree(friend_id)));
-    });
-  }
-  return out;
+  return TopByScore(
+      graph.num_users(), top_h,
+      [&](UserId u) -> const auto& { return graph.Neighbors(u); },
+      [&](UserId friend_id) {
+        return std::log(num_users / (1.0 + graph.Degree(friend_id)));
+      });
 }
 
 }  // namespace groupsa::data

@@ -1,8 +1,7 @@
 #ifndef GROUPSA_DATA_TFIDF_H_
 #define GROUPSA_DATA_TFIDF_H_
 
-#include <vector>
-
+#include "data/id_lists.h"
 #include "data/interaction_matrix.h"
 #include "data/social_graph.h"
 
@@ -12,19 +11,18 @@ namespace groupsa::data {
 // interacted items (and friends) by TF-IDF and keeps the Top-H for the
 // aggregation networks. With implicit binary feedback the term frequency is
 // 1, so the ranking reduces to inverse document frequency: rarer
-// items/friends characterize a user more sharply.
+// items/friends characterize a user more sharply. Both tables have one row
+// per user, stored flat (IdLists).
 
 // For every user, the up-to-H interacted items with the highest
 // idf = log(num_users / (1 + item popularity)), most informative first.
 // Users with no interactions get an empty list (the caller falls back to the
 // plain embedding).
-std::vector<std::vector<ItemId>> TopItemsPerUser(const InteractionMatrix& ui,
-                                                 int top_h);
+IdLists TopItemsPerUser(const InteractionMatrix& ui, int top_h);
 
 // For every user, the up-to-H friends with the highest
 // idf = log(num_users / (1 + friend degree)).
-std::vector<std::vector<UserId>> TopFriendsPerUser(const SocialGraph& graph,
-                                                   int top_h);
+IdLists TopFriendsPerUser(const SocialGraph& graph, int top_h);
 
 }  // namespace groupsa::data
 

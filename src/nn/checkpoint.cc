@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 
@@ -31,44 +32,65 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+// Folds bytes into a CRC32 and a length: what a section's directory entry
+// and a parameter record's header hold about the bytes that follow them.
+class CrcCounter final : public ByteSink {
+ public:
+  void Append(const void* data, size_t len) override {
+    crc_ = Crc32::Update(crc_, data, len);
+    size_ += len;
+  }
+  uint32_t crc() const { return Crc32::Finalize(crc_); }
+  uint64_t size() const { return size_; }
+
+ private:
+  uint32_t crc_ = Crc32::kInit;
+  uint64_t size_ = 0;
+};
+
 // Streams a file through one kWriteChunk buffer while folding every byte
 // into the running file CRC. Each full buffer, and the final partial one,
 // is written as one chunk that consults the "checkpoint.write" failpoint,
 // so fault-injection tests can produce genuinely partial files and chunks
-// fall at every kWriteChunk offset of the file.
-class ChunkWriter {
+// fall at every kWriteChunk offset of the file. The first failure sticks:
+// later appends are dropped and status() reports it.
+class ChunkWriter final : public ByteSink {
  public:
   ChunkWriter(std::FILE* f, const std::string& path) : f_(f), path_(path) {
     buffer_.reserve(kWriteChunk);
   }
 
-  Status Append(std::string_view bytes) {
-    crc_ = Crc32::Update(crc_, bytes.data(), bytes.size());
-    while (!bytes.empty()) {
-      const size_t n = std::min(kWriteChunk - buffer_.size(), bytes.size());
-      buffer_.append(bytes.data(), n);
-      bytes.remove_prefix(n);
-      if (buffer_.size() == kWriteChunk) GROUPSA_RETURN_IF_ERROR(Flush());
+  void Append(const void* data, size_t len) override {
+    const char* bytes = static_cast<const char*>(data);
+    while (len > 0 && status_.ok()) {
+      const size_t n = std::min(kWriteChunk - buffer_.size(), len);
+      crc_ = Crc32::Update(crc_, bytes, n);
+      buffer_.append(bytes, n);
+      bytes += n;
+      len -= n;
+      if (buffer_.size() == kWriteChunk) Flush();
     }
-    return Status::Ok();
   }
 
   // CRC of every byte appended so far.
   uint32_t crc() const { return Crc32::Finalize(crc_); }
+  const Status& status() const { return status_; }
 
   // Writes the buffered bytes as one chunk.
   Status Flush() {
-    if (buffer_.empty()) return Status::Ok();
+    if (buffer_.empty() || !status_.ok()) return status_;
     const failpoint::Action action = GROUPSA_FAILPOINT("checkpoint.write");
-    if (action == failpoint::Action::kError)
-      return Status::Error("injected write failure: " + path_);
+    if (action == failpoint::Action::kError) {
+      status_ = Status::Error("injected write failure: " + path_);
+      return status_;
+    }
     // Flip one bit of this chunk: the CRC tiers must catch it at load.
     if (action == failpoint::Action::kCorrupt)
       buffer_[buffer_.size() / 2] ^= 0x10;
     if (std::fwrite(buffer_.data(), 1, buffer_.size(), f_) != buffer_.size())
-      return Status::Error("write failed: " + path_);
+      status_ = Status::Error("write failed: " + path_);
     buffer_.clear();
-    return Status::Ok();
+    return status_;
   }
 
  private:
@@ -76,13 +98,119 @@ class ChunkWriter {
   std::string path_;
   std::string buffer_;
   uint32_t crc_ = Crc32::kInit;
+  Status status_;
 };
+
+// A parameter record's body, the bytes its CRC covers: name, shape, data.
+void WriteRecordBody(const ParamEntry& p, ByteSink* sink) {
+  const tensor::Matrix& m = p.tensor->value();
+  sink->WriteString(p.name);
+  sink->WriteU32(static_cast<uint32_t>(m.rows()));
+  sink->WriteU32(static_cast<uint32_t>(m.cols()));
+  sink->WriteFloats(m.data(), static_cast<size_t>(m.size()));
+}
+
+// The one params-payload parser. With `apply` false it runs every check of
+// CheckParameters and copies nothing. With `apply` true it copies each
+// record's data into its tensor and skips the CRC and value checks, which
+// the check run already passed.
+Status ReadParameters(const std::vector<ParamEntry>& params,
+                      std::string_view payload, bool apply) {
+  ByteReader reader(payload);
+  uint32_t count = 0;
+  if (!reader.ReadU32(&count))
+    return Status::Error("truncated params section");
+  std::unordered_map<std::string, const ParamEntry*> by_name;
+  for (const ParamEntry& p : params) by_name[p.name] = &p;
+
+  // The count comes from the file, so nothing is sized by it. A count above
+  // the model's fails at the first record past the model's parameters,
+  // which cannot be a new known name (duplicate, unknown or truncated); a
+  // smaller one fails below, naming the missing parameters.
+  std::unordered_map<std::string, bool> seen;
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t record_crc = 0;
+    uint64_t record_len = 0;
+    if (!reader.ReadU32(&record_crc) || !reader.ReadU64(&record_len) ||
+        record_len > reader.Remaining()) {
+      return Status::Error(
+          StrFormat("truncated parameter record %u of %u", i, count));
+    }
+    const char* record_at = payload.data() + reader.Position();
+    if (!apply && Crc32Of(record_at, record_len) != record_crc)
+      return Status::Error(
+          StrFormat("parameter record %u CRC mismatch", i));
+    ByteReader record(record_at, record_len);
+    reader.Skip(record_len);  // bounds already checked above
+
+    std::string name;
+    uint32_t rows = 0;
+    uint32_t cols = 0;
+    if (!record.ReadString(&name) || !record.ReadU32(&rows) ||
+        !record.ReadU32(&cols)) {
+      return Status::Error(
+          StrFormat("malformed parameter record %u of %u", i, count));
+    }
+    auto it = by_name.find(name);
+    if (it == by_name.end())
+      return Status::Error("unknown parameter in checkpoint: " + name);
+    if (seen[name])
+      return Status::Error("duplicate parameter in checkpoint: " + name);
+    seen[name] = true;
+    const ag::TensorPtr& tensor = it->second->tensor;
+    const int live_rows = tensor->rows();
+    const int live_cols = tensor->cols();
+    if (live_rows != static_cast<int>(rows) ||
+        live_cols != static_cast<int>(cols)) {
+      return Status::Error(StrFormat(
+          "shape mismatch for %s: file %ux%u vs model %dx%d", name.c_str(),
+          rows, cols, live_rows, live_cols));
+    }
+    const size_t n = static_cast<size_t>(tensor->value().size());
+    const char* data = record_at + record.Position();
+    if (!record.Skip(sizeof(float) * n))
+      return Status::Error("truncated parameter data for " + name);
+    if (apply) {
+      std::memcpy(tensor->mutable_value().data(), data, sizeof(float) * n);
+      continue;
+    }
+    // A NaN or Inf passes every CRC tier, yet served scores built from it
+    // break the strict weak ordering top-K selection sorts by.
+    for (size_t e = 0; e < n; ++e) {
+      float value = 0.0f;
+      std::memcpy(&value, data + sizeof(float) * e, sizeof(float));
+      if (!std::isfinite(value)) {
+        const size_t width = static_cast<size_t>(live_cols);
+        return Status::Error(StrFormat(
+            "non-finite value in parameter %s at row %zu, col %zu",
+            name.c_str(), e / width, e % width));
+      }
+    }
+  }
+  if (!reader.AtEnd())
+    return Status::Error("trailing bytes in params section");
+  if (seen.size() != params.size()) {
+    std::vector<std::string> missing;
+    for (const ParamEntry& p : params)
+      if (!seen[p.name]) missing.push_back(p.name);
+    return Status::Error(StrFormat(
+        "checkpoint holds %zu of %zu parameters (missing: %s)", seen.size(),
+        params.size(), StrJoin(missing, ", ").c_str()));
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
-void CheckpointWriter::AddSection(const std::string& name,
-                                  std::string payload) {
-  sections_.emplace_back(name, std::move(payload));
+void CheckpointWriter::AddSection(std::string name, Producer producer) {
+  sections_.emplace_back(std::move(name), std::move(producer));
+}
+
+void CheckpointWriter::AddSection(std::string name, std::string payload) {
+  AddSection(std::move(name),
+             [payload = std::move(payload)](ByteSink* sink) {
+               sink->Append(payload.data(), payload.size());
+             });
 }
 
 Status CheckpointWriter::Commit(const std::string& path) const {
@@ -93,24 +221,22 @@ Status CheckpointWriter::Commit(const std::string& path) const {
       return Status::Error("cannot open for write: " + tmp);
     ChunkWriter out(f.get(), tmp);
     // Header, then each section's directory entry and payload, then the
-    // trailer CRC over every preceding byte.
+    // trailer CRC over every preceding byte. A section's producer runs
+    // twice: into a counter for its entry, then into the file.
     auto write_file = [&]() -> Status {
-      ByteWriter header;
-      header.WriteU32(kMagicV2);
-      header.WriteU32(kVersion);
-      header.WriteU32(static_cast<uint32_t>(sections_.size()));
-      GROUPSA_RETURN_IF_ERROR(out.Append(header.bytes()));
-      for (const auto& [name, payload] : sections_) {
-        ByteWriter entry;
-        entry.WriteString(name);
-        entry.WriteU64(payload.size());
-        entry.WriteU32(Crc32Of(payload.data(), payload.size()));
-        GROUPSA_RETURN_IF_ERROR(out.Append(entry.bytes()));
-        GROUPSA_RETURN_IF_ERROR(out.Append(payload));
+      out.WriteU32(kMagicV2);
+      out.WriteU32(kVersion);
+      out.WriteU32(static_cast<uint32_t>(sections_.size()));
+      for (const auto& [name, produce] : sections_) {
+        CrcCounter counter;
+        produce(&counter);
+        out.WriteString(name);
+        out.WriteU64(counter.size());
+        out.WriteU32(counter.crc());
+        produce(&out);
+        GROUPSA_RETURN_IF_ERROR(out.status());
       }
-      ByteWriter trailer;
-      trailer.WriteU32(out.crc());
-      GROUPSA_RETURN_IF_ERROR(out.Append(trailer.bytes()));
+      out.WriteU32(out.crc());
       return out.Flush();
     };
     if (Status s = write_file(); !s.ok()) {
@@ -220,128 +346,62 @@ std::optional<std::string_view> CheckpointReader::Find(
   return std::nullopt;
 }
 
-std::string EncodeParameters(const std::vector<ParamEntry>& params) {
-  // Record: u32 crc, u64 len, then len bytes of name, shape and data.
-  auto record_len = [](const ParamEntry& p) {
-    return sizeof(uint32_t) + p.name.size() + 2 * sizeof(uint32_t) +
-           sizeof(float) * static_cast<size_t>(p.tensor->value().size());
-  };
-  size_t total = sizeof(uint32_t);
-  for (const ParamEntry& p : params)
-    total += sizeof(uint32_t) + sizeof(uint64_t) + record_len(p);
-
-  ByteWriter out;
-  out.Reserve(total);
-  out.WriteU32(static_cast<uint32_t>(params.size()));
-  for (const ParamEntry& p : params) {
-    const tensor::Matrix& m = p.tensor->value();
-    const size_t crc_at = out.size();
-    out.WriteU32(0);  // patched below, once the record is written
-    out.WriteU64(record_len(p));
-    const size_t record_at = out.size();
-    out.WriteString(p.name);
-    out.WriteU32(static_cast<uint32_t>(m.rows()));
-    out.WriteU32(static_cast<uint32_t>(m.cols()));
-    out.WriteFloats(m.data(), static_cast<size_t>(m.size()));
-    out.PatchU32(crc_at, Crc32Of(out.bytes().data() + record_at,
-                                 out.size() - record_at));
+ParamsSection::ParamsSection(std::vector<ParamEntry> params)
+    : params_(std::move(params)) {
+  records_.reserve(params_.size());
+  for (const ParamEntry& p : params_) {
+    CrcCounter body;
+    WriteRecordBody(p, &body);
+    records_.push_back({body.crc(), body.size()});
   }
+}
+
+size_t ParamsSection::size() const {
+  size_t total = sizeof(uint32_t);
+  for (const Record& r : records_)
+    total += sizeof(uint32_t) + sizeof(uint64_t) + static_cast<size_t>(r.len);
+  return total;
+}
+
+void ParamsSection::operator()(ByteSink* sink) const {
+  sink->WriteU32(static_cast<uint32_t>(params_.size()));
+  for (size_t i = 0; i < params_.size(); ++i) {
+    sink->WriteU32(records_[i].crc);
+    sink->WriteU64(records_[i].len);
+    WriteRecordBody(params_[i], sink);
+  }
+}
+
+std::string EncodeParameters(const std::vector<ParamEntry>& params) {
+  const ParamsSection section(params);
+  ByteWriter out;
+  out.Reserve(section.size());
+  section(&out);
   return out.Release();
+}
+
+Status CheckParameters(const std::vector<ParamEntry>& params,
+                       std::string_view payload) {
+  return ReadParameters(params, payload, /*apply=*/false);
+}
+
+void ApplyParameters(const std::vector<ParamEntry>& params,
+                     std::string_view payload) {
+  const Status s = ReadParameters(params, payload, /*apply=*/true);
+  GROUPSA_CHECK(s.ok(), s.message().c_str());
 }
 
 Status DecodeParameters(const std::vector<ParamEntry>& params,
                         std::string_view payload) {
-  ByteReader reader(payload);
-  uint32_t count = 0;
-  if (!reader.ReadU32(&count))
-    return Status::Error("truncated params section");
-  std::unordered_map<std::string, const ParamEntry*> by_name;
-  for (const ParamEntry& p : params) by_name[p.name] = &p;
-
-  // Stage 1: parse and validate every record into local storage. The live
-  // model is not touched until every record checked out.
-  struct Staged {
-    const ParamEntry* entry;
-    tensor::Matrix value;
-  };
-  // The count comes from the file, so nothing is sized by it. A count above
-  // the model's fails at the first record past the model's parameters,
-  // which cannot be a new known name (duplicate, unknown or truncated); a
-  // smaller one fails below, naming the missing parameters.
-  std::vector<Staged> staged;
-  staged.reserve(params.size());
-  std::unordered_map<std::string, bool> seen;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t record_crc = 0;
-    uint64_t record_len = 0;
-    if (!reader.ReadU32(&record_crc) || !reader.ReadU64(&record_len) ||
-        record_len > reader.Remaining()) {
-      return Status::Error(
-          StrFormat("truncated parameter record %u of %u", i, count));
-    }
-    const size_t pos = reader.Position();
-    if (Crc32Of(payload.data() + pos, record_len) != record_crc)
-      return Status::Error(
-          StrFormat("parameter record %u CRC mismatch", i));
-    ByteReader record(payload.data() + pos, record_len);
-    reader.Skip(record_len);  // bounds already checked above
-
-    std::string name;
-    uint32_t rows = 0;
-    uint32_t cols = 0;
-    if (!record.ReadString(&name) || !record.ReadU32(&rows) ||
-        !record.ReadU32(&cols)) {
-      return Status::Error(
-          StrFormat("malformed parameter record %u of %u", i, count));
-    }
-    auto it = by_name.find(name);
-    if (it == by_name.end())
-      return Status::Error("unknown parameter in checkpoint: " + name);
-    if (seen[name])
-      return Status::Error("duplicate parameter in checkpoint: " + name);
-    seen[name] = true;
-    const tensor::Matrix& live = it->second->tensor->value();
-    if (live.rows() != static_cast<int>(rows) ||
-        live.cols() != static_cast<int>(cols)) {
-      return Status::Error(StrFormat(
-          "shape mismatch for %s: file %ux%u vs model %dx%d", name.c_str(),
-          rows, cols, live.rows(), live.cols()));
-    }
-    tensor::Matrix value(static_cast<int>(rows), static_cast<int>(cols));
-    if (!record.ReadFloats(value.data(), static_cast<size_t>(value.size())))
-      return Status::Error("truncated parameter data for " + name);
-    // A NaN or Inf passes every CRC tier, yet served scores built from it
-    // break the strict weak ordering top-K selection sorts by.
-    for (int e = 0; e < value.size(); ++e) {
-      if (!std::isfinite(value.data()[e])) {
-        return Status::Error(StrFormat(
-            "non-finite value in parameter %s at row %d, col %d",
-            name.c_str(), e / value.cols(), e % value.cols()));
-      }
-    }
-    staged.push_back({it->second, std::move(value)});
-  }
-  if (!reader.AtEnd())
-    return Status::Error("trailing bytes in params section");
-  if (staged.size() != params.size()) {
-    std::vector<std::string> missing;
-    for (const ParamEntry& p : params)
-      if (!seen[p.name]) missing.push_back(p.name);
-    return Status::Error(StrFormat(
-        "checkpoint holds %zu of %zu parameters (missing: %s)", staged.size(),
-        params.size(), StrJoin(missing, ", ").c_str()));
-  }
-
-  // Stage 2: commit. Nothing below can fail.
-  for (Staged& s : staged)
-    s.entry->tensor->mutable_value() = std::move(s.value);
+  GROUPSA_RETURN_IF_ERROR(CheckParameters(params, payload));
+  ApplyParameters(params, payload);
   return Status::Ok();
 }
 
 Status SaveParameters(const std::vector<ParamEntry>& params,
                       const std::string& path) {
   CheckpointWriter writer;
-  writer.AddSection("params", EncodeParameters(params));
+  writer.AddSection("params", ParamsSection(params));
   return writer.Commit(path).WithContext("save checkpoint " + path);
 }
 

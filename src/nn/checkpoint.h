@@ -1,12 +1,15 @@
 #ifndef GROUPSA_NN_CHECKPOINT_H_
 #define GROUPSA_NN_CHECKPOINT_H_
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/serialize.h"
 #include "common/status.h"
 #include "nn/module.h"
 
@@ -23,7 +26,7 @@ namespace groupsa::nn {
 //   trailer:      u32 file_crc32 over every preceding byte
 //
 // Sections are opaque named payloads: "params" holds the parameter tensors
-// (per-record CRC32 inside, see EncodeParameters), and the trainer adds
+// (per-record CRC32 inside, see ParamsSection), and the trainer adds
 // "adam" / "trainer" sections for full training-state snapshots
 // (core/trainer.h). Three CRC tiers — record, section, file — mean a torn
 // write, a truncation or a flipped bit anywhere is detected at load time and
@@ -35,11 +38,15 @@ namespace groupsa::nn {
 // complete new one — never a mix. Stale ".tmp" files from a killed writer
 // are overwritten by the next Commit.
 //
-// Memory: a save holds one encoded copy of each section (EncodeParameters
-// and Adam::SerializeState build theirs in one exact-size allocation) plus
-// one 64 KiB write buffer; the file is never assembled in memory. A load
-// holds the file once, and DecodeParameters the staged tensors its
-// all-or-nothing contract needs.
+// Memory: one copy of each table. A save streams every section from the
+// live tensors: Commit runs a section's producer twice, once into a CRC and
+// length counter for the section's directory entry and once into one 64 KiB
+// write buffer, so no section and no file is ever assembled in memory. The
+// data is read once per CRC tier: ParamsSection's record CRCs, the counter
+// run's section CRC and the write run's file CRC. A load holds the file once
+// (CheckpointReader) and stages nothing: the payload is checked in place,
+// then copied straight into the live tensors (CheckParameters /
+// ApplyParameters below).
 //
 // Failpoints (common/failpoint.h) for fault-injection tests and CI:
 //   "checkpoint.write"   hit once per 64 KiB chunk written; error = the
@@ -52,8 +59,15 @@ namespace groupsa::nn {
 //                        fails (checkpoint keeps its previous content).
 class CheckpointWriter {
  public:
+  // Writes one section's payload into `sink`. Commit runs it twice and both
+  // runs must write the same bytes, so whatever it reads must not change
+  // until Commit returns.
+  using Producer = std::function<void(ByteSink* sink)>;
+
   // Adds a named section. Section names must be unique per file.
-  void AddSection(const std::string& name, std::string payload);
+  void AddSection(std::string name, Producer producer);
+  // Adds a section whose payload is already in memory.
+  void AddSection(std::string name, std::string payload);
 
   // Atomically writes the file to `path` (tmp -> fsync -> rename), streaming
   // header, sections and trailer through one 64 KiB buffer: each full
@@ -62,7 +76,7 @@ class CheckpointWriter {
   Status Commit(const std::string& path) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> sections_;
+  std::vector<std::pair<std::string, Producer>> sections_;
 };
 
 // Reads and fully verifies a v2 checkpoint: file CRC, header, section
@@ -90,13 +104,50 @@ class CheckpointReader {
   std::vector<Section> sections_;
 };
 
-// Parameter-section codec. EncodeParameters lays out count + per-parameter
-// records (name, shape, float data, record CRC32). DecodeParameters stages
-// every tensor first and commits all-or-nothing: on any error — a record
-// count above the model's, unknown name, shape mismatch, truncated record,
-// CRC failure, a NaN or Inf value, missing parameters, trailing bytes —
-// the live model is left bit-for-bit untouched.
+// The "params" section: a u32 record count, then one record per parameter
+// — u32 crc, u64 len, then len bytes of name, shape (u32 rows, u32 cols) and
+// float data, the crc covering those len bytes.
+//
+// ParamsSection is its one record writer, behind SaveParameters, training
+// snapshots and EncodeParameters alike. Building it computes every record's
+// CRC and length, the record tier's one pass over the data; each run then
+// writes the same bytes straight from the tensors, which must not change
+// while it is in use. It is a CheckpointWriter::Producer.
+class ParamsSection {
+ public:
+  explicit ParamsSection(std::vector<ParamEntry> params);
+
+  // Payload length in bytes.
+  size_t size() const;
+  void operator()(ByteSink* sink) const;
+
+ private:
+  struct Record {
+    uint32_t crc = 0;
+    uint64_t len = 0;
+  };
+  std::vector<ParamEntry> params_;
+  std::vector<Record> records_;
+};
+
+// ParamsSection run into one exact-size string: the bytes SaveParameters
+// writes as the "params" section.
 std::string EncodeParameters(const std::vector<ParamEntry>& params);
+
+// Loading is check, then apply, with nothing staged. CheckParameters reads
+// a params payload in place and runs every test — a record count above the
+// model's, each record's CRC, an unknown or repeated name, a shape mismatch,
+// a truncated record, a NaN or Inf value, missing parameters, trailing
+// bytes — without touching `params`. ApplyParameters then copies each
+// record's data into its tensor's own storage through mutable_value(), so
+// data pointers stay put and value versions move; called on a payload
+// CheckParameters passed, it cannot fail (on any other it CHECK-fails).
+// DecodeParameters does both: on any error the live model is left
+// bit-for-bit untouched.
+Status CheckParameters(const std::vector<ParamEntry>& params,
+                       std::string_view payload);
+void ApplyParameters(const std::vector<ParamEntry>& params,
+                     std::string_view payload);
 Status DecodeParameters(const std::vector<ParamEntry>& params,
                         std::string_view payload);
 

@@ -1,6 +1,7 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/serialize.h"
 #include "common/string_util.h"
@@ -105,32 +106,21 @@ void Adam::Step() {
   }
 }
 
-std::string Adam::SerializeState() const {
-  size_t total = sizeof(uint32_t);
+void Adam::WriteState(ByteSink* sink) const {
+  sink->WriteU32(static_cast<uint32_t>(params_.size()));
   for (size_t i = 0; i < params_.size(); ++i) {
-    total += sizeof(uint32_t) + params_[i].name.size() +
-             2 * sizeof(uint32_t) +
-             2 * sizeof(float) * static_cast<size_t>(m_[i].size()) +
-             sizeof(int64_t) + sizeof(uint32_t) +
-             sizeof(int64_t) * row_step_[i].size();
+    sink->WriteString(params_[i].name);
+    sink->WriteU32(static_cast<uint32_t>(m_[i].rows()));
+    sink->WriteU32(static_cast<uint32_t>(m_[i].cols()));
+    sink->WriteFloats(m_[i].data(), static_cast<size_t>(m_[i].size()));
+    sink->WriteFloats(v_[i].data(), static_cast<size_t>(v_[i].size()));
+    sink->WriteI64(step_[i]);
+    sink->WriteU32(static_cast<uint32_t>(row_step_[i].size()));
+    sink->WriteI64s(row_step_[i].data(), row_step_[i].size());
   }
-  ByteWriter out;
-  out.Reserve(total);
-  out.WriteU32(static_cast<uint32_t>(params_.size()));
-  for (size_t i = 0; i < params_.size(); ++i) {
-    out.WriteString(params_[i].name);
-    out.WriteU32(static_cast<uint32_t>(m_[i].rows()));
-    out.WriteU32(static_cast<uint32_t>(m_[i].cols()));
-    out.WriteFloats(m_[i].data(), static_cast<size_t>(m_[i].size()));
-    out.WriteFloats(v_[i].data(), static_cast<size_t>(v_[i].size()));
-    out.WriteI64(step_[i]);
-    out.WriteU32(static_cast<uint32_t>(row_step_[i].size()));
-    for (int64_t t : row_step_[i]) out.WriteI64(t);
-  }
-  return out.Release();
 }
 
-Status Adam::RestoreState(std::string_view payload) {
+Status Adam::ReadState(std::string_view payload, Adam* into) const {
   ByteReader reader(payload);
   uint32_t count = 0;
   if (!reader.ReadU32(&count))
@@ -140,11 +130,6 @@ Status Adam::RestoreState(std::string_view payload) {
         "adam state holds %u parameters, optimizer has %zu", count,
         params_.size()));
   }
-  // Stage everything before touching live moments (all-or-nothing, matching
-  // the DecodeParameters contract).
-  std::vector<tensor::Matrix> m(count), v(count);
-  std::vector<int64_t> step(count, 0);
-  std::vector<std::vector<int64_t>> row_step(count);
   for (uint32_t i = 0; i < count; ++i) {
     std::string name;
     uint32_t rows = 0;
@@ -164,33 +149,41 @@ Status Adam::RestoreState(std::string_view payload) {
           "adam state shape mismatch for %s: file %ux%u vs %dx%d",
           name.c_str(), rows, cols, m_[i].rows(), m_[i].cols()));
     }
-    m[i].Resize(static_cast<int>(rows), static_cast<int>(cols));
-    v[i].Resize(static_cast<int>(rows), static_cast<int>(cols));
+    const size_t moment_bytes =
+        sizeof(float) * static_cast<size_t>(m_[i].size());
+    const size_t moments_at = reader.Position();
+    int64_t step = 0;
     uint32_t num_row_steps = 0;
-    if (!reader.ReadFloats(m[i].data(), static_cast<size_t>(m[i].size())) ||
-        !reader.ReadFloats(v[i].data(), static_cast<size_t>(v[i].size())) ||
-        !reader.ReadI64(&step[i]) || !reader.ReadU32(&num_row_steps)) {
+    if (!reader.Skip(2 * moment_bytes) || !reader.ReadI64(&step) ||
+        !reader.ReadU32(&num_row_steps)) {
       return Status::Error(StrFormat("truncated adam record %u", i));
     }
-    const size_t expected =
-        params_[i].touched_rows != nullptr ? static_cast<size_t>(rows) : 0;
-    if (num_row_steps != expected) {
+    if (num_row_steps != row_step_[i].size()) {
       return Status::Error(StrFormat(
           "adam state row-step count mismatch for %s", name.c_str()));
     }
-    row_step[i].resize(num_row_steps);
-    for (uint32_t r = 0; r < num_row_steps; ++r) {
-      if (!reader.ReadI64(&row_step[i][r]))
-        return Status::Error(StrFormat("truncated adam record %u", i));
+    const size_t row_steps_at = reader.Position();
+    if (!reader.Skip(sizeof(int64_t) * num_row_steps))
+      return Status::Error(StrFormat("truncated adam record %u", i));
+    if (into != nullptr) {
+      const char* moments = payload.data() + moments_at;
+      std::memcpy(into->m_[i].data(), moments, moment_bytes);
+      std::memcpy(into->v_[i].data(), moments + moment_bytes, moment_bytes);
+      into->step_[i] = step;
+      if (num_row_steps > 0)  // dense parameters keep no row steps
+        std::memcpy(into->row_step_[i].data(), payload.data() + row_steps_at,
+                    sizeof(int64_t) * num_row_steps);
     }
   }
   if (!reader.AtEnd())
     return Status::Error("trailing bytes in adam section");
-  m_ = std::move(m);
-  v_ = std::move(v);
-  step_ = std::move(step);
-  row_step_ = std::move(row_step);
   return Status::Ok();
+}
+
+Status Adam::RestoreState(std::string_view payload) {
+  GROUPSA_RETURN_IF_ERROR(ReadState(payload, nullptr));
+  // The payload checked out, so the copying run cannot fail part-way.
+  return ReadState(payload, this);
 }
 
 }  // namespace groupsa::nn

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serialize.h"
 #include "common/status.h"
 #include "nn/module.h"
 
@@ -73,17 +74,25 @@ class Adam : public Optimizer {
 
   void Step() override;
 
-  // Serializes the full optimizer state — first/second moments and the
-  // dense and per-row step counters — for crash-safe training snapshots
-  // (core/trainer.h). Restoring into an Adam built over the same parameter
-  // list resumes updates bit-identically to an uninterrupted run. The
-  // payload is built in one exact-size allocation.
-  std::string SerializeState() const;
-  // All-or-nothing: validates the payload (parameter count, shapes) before
-  // touching any live state.
+  // Streams the full optimizer state — first/second moments and the dense
+  // and per-row step counters — straight from the live tables, for
+  // crash-safe training snapshots (core/trainer.h). Per parameter: name,
+  // u32 rows, u32 cols, m and v floats, i64 step, u32 row-step count and the
+  // i64 row steps. Restoring into an Adam built over the same parameter
+  // list resumes updates bit-identically to an uninterrupted run.
+  void WriteState(ByteSink* sink) const;
+
+  // All-or-nothing, with nothing staged: validates the payload in place
+  // (parameter count, names, shapes, row-step counts, truncation, trailing
+  // bytes) before it copies the moments and step counters into the live
+  // tables.
   Status RestoreState(std::string_view payload);
 
  private:
+  // The one adam-payload parser: validates, and copies into `into`'s state
+  // when it is non-null.
+  Status ReadState(std::string_view payload, Adam* into) const;
+
   float beta1_;
   float beta2_;
   float epsilon_;

@@ -11,6 +11,7 @@
 #include "core/test_fixtures.h"
 #include "core/topk.h"
 #include "core/trainer.h"
+#include "nn/checkpoint.h"
 
 namespace groupsa::core {
 namespace {
@@ -190,6 +191,51 @@ TEST(InferenceEngineTest, CacheInvalidatedByOptimizerStep) {
   const auto user_after = model->ScoreItemsForUser(3, items);
   EXPECT_EQ(user_after, model->ScoreItemsForUserPerItem(3, items));
   EXPECT_NE(user_after, user_before);
+}
+
+// A checkpoint load writes into the live tensors, so a warmed engine must
+// see it through value_version alone: after the load its answers, in every
+// retrieval mode, equal a fresh model's loaded from the same file.
+TEST(InferenceEngineTest, LoadIntoWarmedEngineMatchesFreshModel) {
+  const GroupSaConfig config = SmallConfig();
+  const TinyFixture f = TinyFixture::Make(config);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/engine_warm_load.ckpt";
+  ASSERT_TRUE(
+      nn::SaveParameters(f.MakeModel(config, 21)->Parameters(), path).ok());
+
+  struct Mode {
+    TopKMode topk;
+    ScoreMode score;
+  };
+  const Mode modes[] = {{TopKMode::kExact, ScoreMode::kExact},
+                        {TopKMode::kIvf, ScoreMode::kExact},
+                        {TopKMode::kExact, ScoreMode::kInt8},
+                        {TopKMode::kIvf, ScoreMode::kInt8}};
+  auto answers = [&](GroupSaModel* model) {
+    std::vector<InferenceEngine::Ranking> out;
+    InferenceEngine& engine = model->inference();
+    ItemIndexConfig index;
+    index.nlist = 4;
+    engine.set_index_config(index);
+    for (const Mode& mode : modes) {
+      engine.set_topk_mode(mode.topk);
+      engine.set_score_mode(mode.score);
+      out.push_back(engine.RecommendForUser(3, 10, nullptr));
+      out.push_back(engine.RecommendForGroup(1, 10, nullptr));
+      out.push_back(engine.RecommendForMembers({0, 2, 5}, 10, nullptr));
+    }
+    return out;
+  };
+
+  auto warmed = f.MakeModel(config);
+  const auto before = answers(warmed.get());
+  ASSERT_TRUE(nn::LoadParameters(warmed->Parameters(), path).ok());
+  auto fresh = f.MakeModel(config, 12);
+  ASSERT_TRUE(nn::LoadParameters(fresh->Parameters(), path).ok());
+  const auto after = answers(warmed.get());
+  EXPECT_EQ(after, answers(fresh.get()));
+  EXPECT_NE(after, before);
 }
 
 TEST(InferenceEngineTest, RecommendMatchesFullSortReference) {

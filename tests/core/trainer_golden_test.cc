@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "core/test_fixtures.h"
@@ -10,6 +11,18 @@ namespace groupsa::core {
 namespace {
 
 using core::testing::TinyFixture;
+
+std::string ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::string bytes;
+  char buf[4096];
+  size_t n = 0;
+  while (f != nullptr && (n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+    bytes.append(buf, n);
+  if (f != nullptr) std::fclose(f);
+  return bytes;
+}
 
 uint64_t Fnv1a(const std::string& bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -75,6 +88,34 @@ TEST(TrainerGoldenTest, TrainedParametersArePinned) {
       const uint64_t digest = TrainedDigest(pin.world, threads);
       EXPECT_EQ(digest, pin.digest) << std::hex << "0x" << digest;
     }
+  }
+}
+
+// A training snapshot's file bytes — the params, adam and trainer sections a
+// Fit writes after its last unit — are pinned too: they cover the Adam
+// moments and step counters and the RNG cursor, which the parameter digests
+// above do not. A deliberate change re-pins from the printed values.
+TEST(TrainerGoldenTest, SnapshotFileIsPinned) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " thread(s)");
+    GroupSaConfig config = GoldenConfig(threads);
+    config.user_epochs = 1;
+    config.group_epochs = 1;
+    const TinyFixture f = TinyFixture::Make(config);
+    auto model = f.MakeModel(config);
+    Rng rng(29);
+    Trainer trainer(model.get(), f.ui.train, f.gi.train, &f.ui_train,
+                    &f.gi_train, &rng);
+    Trainer::FitOptions options;
+    options.snapshot_path = std::string(::testing::TempDir()) +
+                            "/golden_snapshot_" + std::to_string(threads) +
+                            ".snap";
+    Trainer::FitReport report;
+    ASSERT_TRUE(trainer.Fit(options, &report).ok());
+    const std::string bytes = ReadFile(options.snapshot_path);
+    EXPECT_EQ(bytes.size(), 46467u);
+    EXPECT_EQ(Fnv1a(bytes), 0x50d347be6efe2460ULL)
+        << std::hex << "0x" << Fnv1a(bytes);
   }
 }
 

@@ -271,6 +271,37 @@ TEST_F(TrainerResumeTest, ResumeRejectsPlainParameterCheckpoint) {
   EXPECT_NE(s.message().find("not a training snapshot"), std::string::npos);
 }
 
+// ResumeFrom checks every section before it writes any: a CRC-valid
+// snapshot whose adam section does not parse leaves the parameters, the
+// optimizer and the RNG stream as they were, so the next epoch trains
+// exactly as an untouched trainer's does.
+TEST_F(TrainerResumeTest, MalformedAdamSectionLeavesTrainerUntouched) {
+  const GroupSaConfig config = GroupOnlyConfig(1);
+  const std::string path = TempPath("resume_bad_adam_src.snap");
+  TrainUninterrupted(config, path);
+
+  nn::CheckpointReader reader;
+  ASSERT_TRUE(nn::CheckpointReader::Read(path, &reader).ok());
+  const std::string_view adam = *reader.Find("adam");
+  nn::CheckpointWriter writer;
+  writer.AddSection("params", std::string(*reader.Find("params")));
+  writer.AddSection("adam", std::string(adam.substr(0, adam.size() - 4)));
+  writer.AddSection("trainer", std::string(*reader.Find("trainer")));
+  const std::string bad = TempPath("resume_bad_adam.snap");
+  ASSERT_TRUE(writer.Commit(bad).ok());
+
+  TrainRun untouched(config);
+  TrainRun run(config);
+  const Status s = run.trainer->ResumeFrom(bad);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("adam"), std::string::npos) << s.message();
+  EXPECT_TRUE(run.Params() == untouched.Params());
+
+  untouched.trainer->RunGroupEpoch();
+  run.trainer->RunGroupEpoch();
+  EXPECT_TRUE(run.Params() == untouched.Params());
+}
+
 TEST_F(TrainerResumeTest, ResumeRejectsMissingFile) {
   TrainRun run(GroupOnlyConfig(1));
   EXPECT_FALSE(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 
@@ -9,6 +11,8 @@ namespace groupsa::core {
 namespace {
 
 using tensor::Matrix;
+// Top-H rows; BuildUserLatent reads them as spans.
+using Ids = std::vector<int32_t>;
 
 GroupSaConfig SmallConfig() {
   GroupSaConfig c;
@@ -24,8 +28,8 @@ TEST(UserModelingTest, LatentShape) {
   const GroupSaConfig c = SmallConfig();
   UserModeling um(c, 10, 20, &rng);
   ag::TensorPtr guide = ag::Constant(Matrix(1, 8, 0.1f));
-  ag::TensorPtr h = um.BuildUserLatent(nullptr, guide, {1, 2, 3}, {4, 5},
-                                       /*training=*/false, nullptr);
+  ag::TensorPtr h = um.BuildUserLatent(nullptr, guide, Ids{1, 2, 3},
+                                       Ids{4, 5}, /*training=*/false, nullptr);
   EXPECT_EQ(h->rows(), 1);
   EXPECT_EQ(h->cols(), 8);
 }
@@ -50,7 +54,7 @@ TEST(UserModelingTest, ItemOnlyVariantWorks) {
   UserModeling um(c, 10, 20, &rng);
   EXPECT_TRUE(um.has_item_space());
   ag::TensorPtr guide = ag::Constant(Matrix(1, 8, 0.1f));
-  ag::TensorPtr h = um.BuildUserLatent(nullptr, guide, {0, 1}, {}, false,
+  ag::TensorPtr h = um.BuildUserLatent(nullptr, guide, Ids{0, 1}, {}, false,
                                        nullptr);
   EXPECT_EQ(h->cols(), 8);
 }
@@ -62,7 +66,7 @@ TEST(UserModelingTest, SocialOnlyVariantHasNoItemSpace) {
   UserModeling um(c, 10, 20, &rng);
   EXPECT_FALSE(um.has_item_space());
   ag::TensorPtr guide = ag::Constant(Matrix(1, 8, 0.1f));
-  ag::TensorPtr h = um.BuildUserLatent(nullptr, guide, {}, {2}, false,
+  ag::TensorPtr h = um.BuildUserLatent(nullptr, guide, {}, Ids{2}, false,
                                        nullptr);
   EXPECT_EQ(h->cols(), 8);
 }
@@ -82,9 +86,9 @@ TEST(UserModelingTest, DifferentNeighbourhoodsDifferentLatents) {
   UserModeling um(c, 10, 20, &rng);
   ag::TensorPtr guide = ag::Constant(Matrix(1, 8, 0.1f));
   ag::TensorPtr h1 =
-      um.BuildUserLatent(nullptr, guide, {0, 1}, {2}, false, nullptr);
+      um.BuildUserLatent(nullptr, guide, Ids{0, 1}, Ids{2}, false, nullptr);
   ag::TensorPtr h2 =
-      um.BuildUserLatent(nullptr, guide, {5, 6}, {7}, false, nullptr);
+      um.BuildUserLatent(nullptr, guide, Ids{5, 6}, Ids{7}, false, nullptr);
   EXPECT_FALSE(AllClose(h1->value(), h2->value(), 1e-6f));
 }
 
@@ -106,8 +110,8 @@ TEST(UserModelingTest, GradientsFlowToTables) {
   }
   auto result = ag::CheckGradients(
       [&](ag::Tape* tape) {
-        return ag::SumAll(tape, um.BuildUserLatent(tape, guide, {0, 3},
-                                                   {1, 2}, false, nullptr));
+        return ag::SumAll(tape, um.BuildUserLatent(tape, guide, Ids{0, 3},
+                                                   Ids{1, 2}, false, nullptr));
       },
       params, /*step=*/5e-4f, /*abs_tolerance=*/8e-3f,
       /*rel_tolerance=*/6e-2f);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -430,6 +432,43 @@ TEST(CheckpointTest, FileBytesArePinned) {
   ASSERT_TRUE(CheckpointReader::Read(two, &reader).ok());
   ASSERT_TRUE(reader.Has("notes"));
   EXPECT_FALSE(reader.Has("adam"));
+}
+
+// The streamed save and EncodeParameters share one record writer: the
+// params section on disk is EncodeParameters' bytes.
+TEST(CheckpointTest, EncodeParametersEqualsSavedParamsSection) {
+  const MultiChunkModel model(23);
+  const std::string path = TempPath("ckpt_encode_equals_save.bin");
+  ASSERT_TRUE(SaveParameters(model.Parameters(), path).ok());
+  CheckpointReader reader;
+  ASSERT_TRUE(CheckpointReader::Read(path, &reader).ok());
+  const std::optional<std::string_view> section = reader.Find("params");
+  ASSERT_TRUE(section.has_value());
+  EXPECT_TRUE(*section == EncodeParameters(model.Parameters()));
+}
+
+// A load copies into each tensor's own storage: no data pointer moves, and
+// every value_version is bumped, so caches keyed on it rebuild.
+TEST(CheckpointTest, LoadWritesIntoLiveStorage) {
+  const MultiChunkModel source(23);
+  const std::string path = TempPath("ckpt_in_place.bin");
+  ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
+
+  const MultiChunkModel dest(24);
+  const std::vector<ParamEntry> params = dest.Parameters();
+  std::vector<const float*> data;
+  std::vector<uint64_t> versions;
+  for (const ParamEntry& p : params) {
+    data.push_back(p.tensor->value().data());
+    versions.push_back(p.tensor->value_version());
+  }
+  ASSERT_TRUE(LoadParameters(params, path).ok());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(params[i].tensor->value().data(), data[i]) << params[i].name;
+    EXPECT_GT(params[i].tensor->value_version(), versions[i])
+        << params[i].name;
+  }
+  EXPECT_EQ(EncodeParameters(params), EncodeParameters(source.Parameters()));
 }
 
 // "checkpoint.write" is hit once per 64 KiB chunk: a write error on the

@@ -37,7 +37,8 @@
 #                 conservation, breaker trip + recovery) and the resilience
 #                 suite, each under both TSan and ASan
 #   asan          fault-labelled tests, tensor-pool, checkpoint, grad-shard,
-#                 top-K selector and serving suites under ASan
+#                 flat Top-H list, top-K selector and serving suites under
+#                 ASan
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
@@ -529,10 +530,16 @@ lane_asan() {
     -R 'TrainerPoolTest|TensorPoolTest'
   echo "=== asan ctest (checkpoint I/O and compact shard gradients) ==="
   # Checkpoint sections are views into one file buffer at computed offsets,
-  # and shard gradients are compact rows found through a per-row index;
-  # ASan checks both offset schemes (neither suite carries a label above).
+  # and loads copy records from there straight into the live tensors; shard
+  # gradients are compact rows found through a per-row index. ASan checks
+  # both offset schemes (neither suite carries a label above).
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'CheckpointTest|CheckpointCrashDeathTest|GradShardTest'
+  echo "=== asan ctest (flat Top-H lists) ==="
+  # TF-IDF Top-H rows are spans into one flat id array (data::IdLists),
+  # read by user modeling; ASan checks the row offsets (no label above).
+  ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
+    -R 'TfIdfTest|IdListsTest|UserModelingTest'
   echo "=== asan ctest (top-K selector) ==="
   # Every ranking path ends in core::TopKItems' k-bounded heap; ASan checks
   # its index arithmetic at k = 1, k past n and skip-everything (tests_core
