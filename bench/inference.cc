@@ -10,6 +10,7 @@
 // Flags: --items=N --groups=N --users=N --threads=N --k=N --quick
 //        --sweep       (catalog-size sweep: exact vs IVF retrieval, below)
 //        --json=path   (machine-readable result record, see tools/bench.sh)
+//        Every N is a whole number >= 1; anything else exits 2.
 //
 // --sweep additionally runs the sublinear-retrieval sweep: for each catalog
 // size in {2k, 100k, 1M} it builds a fresh world + model, times the
@@ -25,6 +26,7 @@
 // of the same reps (the >= 3.5x gate from tests/core/int8_mode_test.cc).
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +42,7 @@
 #include "data/synthetic.h"
 #include "data/tfidf.h"
 #include "tensor/backend.h"
+#include "tools/cli_common.h"
 
 using namespace groupsa;
 
@@ -56,10 +59,17 @@ struct Flags {
   std::string json;
 };
 
+// Reads `arg` into *out when it is `name=N`; false when it is another flag.
+// N must be a whole number >= 1 (tools::ParseWholeInt), or the run exits 2
+// naming the flag.
 bool ParseIntFlag(const char* arg, const char* name, int* out) {
   const size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = std::atoi(arg + n + 1);
+  if (!tools::ParseWholeInt(arg + n + 1, 1, INT_MAX, out)) {
+    std::fprintf(stderr, "%s must be an integer >= 1, got '%s'\n", name,
+                 arg + n + 1);
+    std::exit(2);
+  }
   return true;
 }
 

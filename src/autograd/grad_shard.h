@@ -12,8 +12,8 @@ namespace groupsa::ag {
 
 // Per-shard gradient sink for data-parallel training.
 //
-// A sharded minibatch step builds one tape per shard on a pool thread. The
-// tapes' backward closures accumulate into the gradients of the *shared*
+// A sharded minibatch step builds each shard's graph on a tape on a pool
+// thread. The backward closures accumulate into the gradients of the *shared*
 // parameter tensors, which would race across shards. A GradShard, while
 // active on a thread, captures those gradients shard-locally;
 // non-registered tensors (the shard's own intermediates) are untouched.

@@ -17,12 +17,13 @@ namespace groupsa::ag {
 // performs zero tensor/matrix heap allocations (asserted by tests via
 // stats()).
 //
-// Ownership protocol (one pool per shard, used only by the thread running
-// that shard — same lock-free discipline as GradShard):
+// Ownership protocol (one pool per trainer worker lane, used only by the
+// thread running that lane — same lock-free discipline as GradShard). A lane
+// runs its shards one after another, and each shard is one pool batch:
 //
 //   TensorPool pool;                          // lives across batches
 //   {
-//     TensorPool::ActiveScope scope(&pool);   // per batch, on the shard's
+//     TensorPool::ActiveScope scope(&pool);   // per batch, on the lane's
 //     ... forward ops + backward pass ...     //   executing thread
 //   }
 //   tape.Reset();          // drop the closures' TensorPtr references
@@ -48,7 +49,7 @@ namespace groupsa::ag {
 // (rows, cols, requires_grad), so a pool warmed by a user-task batch also
 // serves the group task's shapes once it has seen them. Samples with
 // data-dependent shapes (per-group member counts, per-user neighborhood
-// sizes) warm the union of shapes their shard encounters; shape-uniform
+// sizes) warm the union of shapes their lane encounters; shape-uniform
 // schedules reach zero growth from batch 2 (see DESIGN.md §9).
 class TensorPool {
  public:

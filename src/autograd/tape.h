@@ -76,10 +76,10 @@ struct OpNode {
 //   tape.Clear();               // or let the tape go out of scope
 //
 // A tape is single-threaded by construction: the sharded trainer gives every
-// shard its own tape, built and walked entirely on the thread that runs the
-// shard. Record/Backward assert this ownership so a cross-thread use (a
-// data race by definition, since ops_ is unsynchronized) fails loudly
-// instead of corrupting silently.
+// worker lane its own tape, and each shard's graph is built and walked
+// entirely on the thread that runs its lane. Record/Backward assert this
+// ownership so a cross-thread use (a data race by definition, since ops_ is
+// unsynchronized) fails loudly instead of corrupting silently.
 //
 // Besides the backward closures, a tape can record the graph *structure*
 // (OpNode per op, including ops that need no gradient) for the static
@@ -127,7 +127,7 @@ class Tape {
 
   // Clears the tape for reuse by the next batch and re-binds ownership to
   // the calling thread (the pool makes no guarantee about which thread runs
-  // a given shard in a given batch). clear() — never a {}-swap — keeps the
+  // a given lane in a given batch). clear() — never a {}-swap — keeps the
   // vectors' capacity, and the recorded-graph vectors are additionally
   // reserve()d to the previous batch's size, so a steady-state batch
   // appends every op without reallocating either vector. Dropping the

@@ -52,8 +52,8 @@ Trainer::Trainer(GroupSaModel* model, const data::EdgeList& user_train,
 
 ag::TensorPool::Stats Trainer::PoolStats() const {
   ag::TensorPool::Stats total;
-  for (const std::unique_ptr<ShardContext>& ctx : shard_ctx_) {
-    const ag::TensorPool::Stats& s = ctx->pool.stats();
+  for (const std::unique_ptr<LaneContext>& lane : lanes_) {
+    const ag::TensorPool::Stats& s = lane->pool.stats();
     total.tensors_created += s.tensors_created;
     total.tensors_reused += s.tensors_reused;
     total.workspaces_created += s.workspaces_created;
@@ -125,64 +125,70 @@ Trainer::EpochStats Trainer::RunShardedEpoch(int num_samples,
     const int batch_losses = (end - start) * losses_per_sample;
     const int num_shards = (end - start + kShardGrain - 1) / kShardGrain;
 
-    // Persistent contexts: shard s reuses the same tape, gradient sink and
-    // tensor pool every batch, so the steady state allocates nothing here.
-    while (shard_ctx_.size() < static_cast<size_t>(num_shards)) {
-      auto ctx = std::make_unique<ShardContext>();
-      ctx->sink = std::make_unique<ag::GradShard>(grad_slots_);
-      shard_ctx_.push_back(std::move(ctx));
-    }
+    // Persistent contexts: shard s reuses the same gradient sink every
+    // batch, and lane l the same tape and tensor pool for shards l, l + L,
+    // ..., so the steady state allocates nothing here. The lanes change
+    // only where buffers live: each shard still has its own sink, Rng
+    // stream and place in the reduction, so no bit depends on L.
+    const int num_lanes = std::min(parallel::GlobalThreads(), num_shards);
+    while (shard_sinks_.size() < static_cast<size_t>(num_shards))
+      shard_sinks_.push_back(std::make_unique<ag::GradShard>(grad_slots_));
+    while (lanes_.size() < static_cast<size_t>(num_lanes))
+      lanes_.push_back(std::make_unique<LaneContext>());
     shard_loss_.assign(static_cast<size_t>(num_shards), 0.0f);
     // Seeding with 1/batch_losses makes each sample's gradient carry the
     // batch-mean weight, exactly as the historical mean-loss graph did.
     tensor::Matrix seed(1, 1);
     seed.At(0, 0) = 1.0f / static_cast<float>(batch_losses);
-    parallel::ParallelFor(0, num_shards, 1, [&](int64_t sb, int64_t se) {
-      for (int64_t s = sb; s < se; ++s) {
-        Rng shard_rng(Rng::StreamSeed(batch_seed, static_cast<uint64_t>(s)));
-        ShardContext& ctx = *shard_ctx_[static_cast<size_t>(s)];
-        ctx.tape.Reset();
-        ctx.losses.clear();
-        {
-          ag::GradShard::ActiveScope scope(ctx.sink.get());
-          ag::TensorPool::ActiveScope pool_scope(
-              pooling_enabled_ ? &ctx.pool : nullptr);
-          const int shard_begin = start + static_cast<int>(s) * kShardGrain;
-          const int shard_end = std::min(end, shard_begin + kShardGrain);
-          for (int i = shard_begin; i < shard_end; ++i)
-            fn(&ctx.tape, i, &shard_rng, &ctx.losses);
-          ag::TensorPtr sum =
-              ag::SumAll(&ctx.tape, ag::ConcatRows(&ctx.tape, ctx.losses));
-          // When the tape carries graph structure (debug builds; see
-          // Tape::GraphRecordingDefault), validate the first shard of the
-          // first executed batch before its backward pass runs — every later
-          // shard records the same op skeleton, so one check per epoch
-          // certifies the whole training graph.
-          if (ctx.tape.records_graph() && b == start_batch && s == 0) {
-            analysis::TapeLintOptions lint;
-            lint.root = sum;
-            for (const ag::GradShard::ParamSlot& slot : grad_slots_)
-              lint.parameters.push_back(slot.tensor);
-            if (Status lint_status = analysis::ValidateTape(ctx.tape, lint);
-                !lint_status.ok()) {
-              GROUPSA_CHECK(false, lint_status.message().c_str());
+    parallel::ParallelFor(0, num_lanes, 1, [&](int64_t lb, int64_t le) {
+      for (int64_t l = lb; l < le; ++l) {
+        LaneContext& lane = *lanes_[static_cast<size_t>(l)];
+        for (int64_t s = l; s < num_shards; s += num_lanes) {
+          Rng shard_rng(
+              Rng::StreamSeed(batch_seed, static_cast<uint64_t>(s)));
+          lane.tape.Reset();
+          {
+            ag::GradShard::ActiveScope scope(
+                shard_sinks_[static_cast<size_t>(s)].get());
+            ag::TensorPool::ActiveScope pool_scope(
+                pooling_enabled_ ? &lane.pool : nullptr);
+            const int shard_begin = start + static_cast<int>(s) * kShardGrain;
+            const int shard_end = std::min(end, shard_begin + kShardGrain);
+            for (int i = shard_begin; i < shard_end; ++i)
+              fn(&lane.tape, i, &shard_rng, &lane.losses);
+            ag::TensorPtr sum = ag::SumAll(
+                &lane.tape, ag::ConcatRows(&lane.tape, lane.losses));
+            // When the tape carries graph structure (debug builds; see
+            // Tape::GraphRecordingDefault), validate the first shard of the
+            // first executed batch before its backward pass runs — every
+            // later shard records the same op skeleton, so one check per
+            // epoch certifies the whole training graph.
+            if (lane.tape.records_graph() && b == start_batch && s == 0) {
+              analysis::TapeLintOptions lint;
+              lint.root = sum;
+              for (const ag::GradShard::ParamSlot& slot : grad_slots_)
+                lint.parameters.push_back(slot.tensor);
+              if (Status lint_status = analysis::ValidateTape(lane.tape, lint);
+                  !lint_status.ok()) {
+                GROUPSA_CHECK(false, lint_status.message().c_str());
+              }
             }
+            shard_loss_[static_cast<size_t>(s)] = sum->scalar();
+            lane.tape.BackwardFrom(sum, seed);
           }
-          shard_loss_[static_cast<size_t>(s)] = sum->scalar();
-          ctx.tape.BackwardFrom(sum, seed);
+          // Drop every reference the shard took (closures, node records,
+          // loss roots) so EndBatch can reclaim the pool's tensors for the
+          // next shard this lane runs.
+          lane.tape.Reset();
+          lane.losses.clear();
+          if (pooling_enabled_) lane.pool.EndBatch();
         }
-        // Drop every reference the batch took (closures, node records, loss
-        // roots) so EndBatch can reclaim the pool's tensors for the next
-        // batch this shard runs.
-        ctx.tape.Reset();
-        ctx.losses.clear();
-        if (pooling_enabled_) ctx.pool.EndBatch();
       }
     });
     // Deterministic merge: shard order, on this thread. ReduceInto also
     // leaves each sink clean (embeddings: compact touched rows only).
     for (int s = 0; s < num_shards; ++s)
-      shard_ctx_[static_cast<size_t>(s)]->sink->ReduceInto();
+      shard_sinks_[static_cast<size_t>(s)]->ReduceInto();
 
     // Fault-injection site: `corrupt` poisons this batch's loss (exercising
     // the divergence guard); `kill` dies here for the crash-resume CI gate.

@@ -33,11 +33,16 @@ namespace groupsa::core {
 // on the thread count — training is bit-identical at any pool width,
 // including width 1.
 //
-// The per-shard machinery (tape, gradient sink, tensor pool, loss list) is
-// persistent: each shard index owns a ShardContext reused batch after
-// batch, so a steady-state batch performs no tensor, gradient-buffer or
-// tape allocations (see DESIGN.md "Training memory architecture"). Pooling
-// can be disabled per trainer (set_tensor_pooling) for parity testing and
+// The training machinery is persistent and split by what it must follow.
+// Gradients must reduce in shard order, so each shard index owns its
+// gradient sink. The tape, tensor pool and loss list only hold one shard's
+// graph at a time, so they belong to a worker lane: a batch's shards are
+// dealt to L = min(pool width, shards) lanes, and lane l runs shards l,
+// l + L, ... in ascending order, ending each shard's batch before the next.
+// Working memory thus grows with the pool width, not the shard count, and
+// a steady-state batch performs no tensor, gradient-buffer or tape
+// allocations (see DESIGN.md "Training memory architecture"). Pooling can
+// be disabled per trainer (set_tensor_pooling) for parity testing and
 // benchmarking; results are bit-identical either way.
 class Trainer {
  public:
@@ -127,11 +132,14 @@ class Trainer {
   void set_tensor_pooling(bool on) { pooling_enabled_ = on; }
   bool tensor_pooling() const { return pooling_enabled_; }
 
-  // Aggregate tensor-pool counters across all shard contexts; all monotone.
+  // Aggregate tensor-pool counters across all lane contexts; all monotone.
   // The steady-state allocation test asserts the created/bytes counters
-  // stop moving once every shard has warmed its shapes.
+  // stop moving once every lane has warmed its shapes.
   ag::TensorPool::Stats PoolStats() const;
-  size_t num_shard_contexts() const { return shard_ctx_.size(); }
+  // Gradient sinks (one per shard index of the widest batch seen) and lane
+  // contexts (one per lane of the widest batch seen).
+  size_t num_shard_contexts() const { return shard_sinks_.size(); }
+  size_t num_lane_contexts() const { return lanes_.size(); }
 
   // Fingerprint of everything a snapshot must agree on to be resumable:
   // the model config (minus the thread count — resume at any width is
@@ -181,14 +189,12 @@ class Trainer {
   bool GradientsFinite() const;
   void DropBatchGradients();
 
-  // Everything one shard index needs across batches. Only the thread
-  // running the shard touches it during the parallel region (the same
-  // lock-free discipline GradShard always had); the calling thread reduces
-  // the sink afterwards. Tape::Reset re-binds tape ownership to whichever
-  // pool thread picks the shard up next batch.
-  struct ShardContext {
+  // What one worker lane reuses for each shard it runs, batch after batch.
+  // Only the thread running the lane touches it during the parallel region
+  // (the same lock-free discipline as GradShard). Tape::Reset re-binds tape
+  // ownership to whichever pool thread picks the lane up.
+  struct LaneContext {
     ag::Tape tape;
-    std::unique_ptr<ag::GradShard> sink;
     ag::TensorPool pool;
     std::vector<ag::TensorPtr> losses;
   };
@@ -202,9 +208,11 @@ class Trainer {
   std::unique_ptr<nn::Adam> optimizer_;
   // GradShard registration of the model's parameters, built once.
   std::vector<ag::GradShard::ParamSlot> grad_slots_;
-  // Persistent shard contexts, grown to the widest batch seen; index ==
-  // shard index. shard_loss_ is the per-batch loss staging area, reused.
-  std::vector<std::unique_ptr<ShardContext>> shard_ctx_;
+  // Persistent per-shard gradient sinks (index == shard index) and lane
+  // contexts (index == lane index), each grown to the widest batch seen.
+  // shard_loss_ is the per-batch loss staging area, reused.
+  std::vector<std::unique_ptr<ag::GradShard>> shard_sinks_;
+  std::vector<std::unique_ptr<LaneContext>> lanes_;
   std::vector<float> shard_loss_;
   bool pooling_enabled_ = true;
 

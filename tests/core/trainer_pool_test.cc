@@ -51,7 +51,7 @@ TEST(TrainerPoolTest, PooledTrainingIsByteIdenticalToUnpooled) {
 
 // The social epoch's graph is shape-uniform (every sample records the same
 // op skeleton with the same shapes), so one warm-up epoch must teach every
-// shard's pool everything it will ever need: afterwards the created/bytes
+// lane's pool everything it will ever need: afterwards the created/bytes
 // counters stop moving no matter how long training runs.
 void ExpectSteadyStateZeroGrowth(int threads) {
   const GroupSaConfig config = PoolConfig(threads);
@@ -61,7 +61,7 @@ void ExpectSteadyStateZeroGrowth(int threads) {
   Trainer trainer(model.get(), f.ui.train, f.gi.train, &f.ui_train,
                   &f.gi_train, &rng);
 
-  trainer.RunSocialEpoch();  // warm-up: every shard sees every shape
+  trainer.RunSocialEpoch();  // warm-up: every lane sees every shape
   const ag::TensorPool::Stats warm = trainer.PoolStats();
   EXPECT_GT(warm.tensors_created, 0u);
   EXPECT_EQ(warm.escaped, 0u) << "trainer leaked batch tensors";
@@ -86,34 +86,60 @@ TEST(TrainerPoolTest, SteadyStateAllocatesNothingFourThreads) {
   ExpectSteadyStateZeroGrowth(4);
 }
 
-// The shard structure — and with it every pool's request stream — is a pure
-// function of the data and the seed, so the aggregate counters must not
-// depend on the thread count.
-TEST(TrainerPoolTest, PoolStatsAreThreadCountInvariant) {
-  auto stats_at = [](int threads) {
-    const GroupSaConfig config = PoolConfig(threads);
-    const TinyFixture f = TinyFixture::Make(config);
-    auto model = f.MakeModel(config);
-    Rng rng(31);
-    Trainer trainer(model.get(), f.ui.train, f.gi.train, &f.ui_train,
-                    &f.gi_train, &rng);
-    trainer.RunUserEpoch();
-    trainer.RunGroupEpoch();
-    return trainer.PoolStats();
-  };
-  const ag::TensorPool::Stats t1 = stats_at(1);
-  const ag::TensorPool::Stats t4 = stats_at(4);
-  EXPECT_EQ(t1.tensors_created, t4.tensors_created);
-  EXPECT_EQ(t1.tensors_reused, t4.tensors_reused);
-  EXPECT_EQ(t1.workspaces_created, t4.workspaces_created);
-  EXPECT_EQ(t1.workspaces_reused, t4.workspaces_reused);
-  EXPECT_EQ(t1.bytes, t4.bytes);
+// One user and one group epoch on the Tiny world at pool width `threads`:
+// the pool counters plus how many sinks and lanes the trainer kept.
+struct MixedRun {
+  ag::TensorPool::Stats pool;
+  size_t shards = 0;
+  size_t lanes = 0;
+};
+
+MixedRun RunMixedEpochs(int threads) {
+  const GroupSaConfig config = PoolConfig(threads);
+  const TinyFixture f = TinyFixture::Make(config);
+  auto model = f.MakeModel(config);
+  Rng rng(31);
+  Trainer trainer(model.get(), f.ui.train, f.gi.train, &f.ui_train,
+                  &f.gi_train, &rng);
+  trainer.RunUserEpoch();
+  trainer.RunGroupEpoch();
+  return {trainer.PoolStats(), trainer.num_shard_contexts(),
+          trainer.num_lane_contexts()};
+}
+
+// The shard structure — and with it the stream of pool requests — is a pure
+// function of the data and the seed, so the number of tensor and workspace
+// requests, and of shards ended, does not depend on the thread count. How
+// the requests split into fresh allocations and reuses does: each lane's
+// pool warms on the shards that lane runs.
+TEST(TrainerPoolTest, PoolRequestStreamIsThreadCountInvariant) {
+  const ag::TensorPool::Stats t1 = RunMixedEpochs(1).pool;
+  const ag::TensorPool::Stats t4 = RunMixedEpochs(4).pool;
+  EXPECT_EQ(t1.tensors_created + t1.tensors_reused,
+            t4.tensors_created + t4.tensors_reused);
+  EXPECT_EQ(t1.workspaces_created + t1.workspaces_reused,
+            t4.workspaces_created + t4.workspaces_reused);
+  EXPECT_EQ(t1.batches, t4.batches);
   EXPECT_EQ(t1.escaped, 0u);
   EXPECT_EQ(t4.escaped, 0u);
 }
 
+// Tapes and pools belong to worker lanes, not shards: one thread keeps one
+// pool however many shards a batch has, four threads keep four, and the
+// single pool holds less than the four together. Gradient sinks stay one
+// per shard at any width.
+TEST(TrainerPoolTest, PoolsFollowThePoolWidth) {
+  const MixedRun t1 = RunMixedEpochs(1);
+  const MixedRun t4 = RunMixedEpochs(4);
+  EXPECT_EQ(t1.lanes, 1u);
+  EXPECT_EQ(t4.lanes, 4u);
+  EXPECT_LT(t1.pool.bytes, t4.pool.bytes);
+  EXPECT_EQ(t1.shards, t4.shards);
+  EXPECT_GT(t1.shards, t4.lanes);
+}
+
 // User/group epochs have data-dependent shapes (member counts, neighbor
-// lists), so their pools warm the union of shapes each shard encounters —
+// lists), so their pools warm the union of shapes each lane encounters —
 // but nothing may leak, and disabling pooling must keep the counters at
 // zero.
 TEST(TrainerPoolTest, MixedEpochsNeverLeakAndToggleDisablesPooling) {

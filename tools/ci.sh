@@ -12,6 +12,8 @@
 #                 zero-overhead bench gate
 #   tidy          clang-tidy over src/ (visible skip when not installed)
 #   bench         inference + training bench smokes (bit-parity gates)
+#                 and the bench int-flag gate (a malformed --epochs or
+#                 --items exits non-zero naming the flag)
 #   serving       serving bench smoke (pipeline-vs-engine 0-ULP parity gate)
 #   crash         crash-resume determinism gate (SIGKILL mid-training, resume,
 #                 byte-compare) at pool widths 1 and 4
@@ -36,9 +38,9 @@
 #                 transcripts at 1x1 vs 4x4 workers/threads, extended
 #                 conservation, breaker trip + recovery) and the resilience
 #                 suite, each under both TSan and ASan
-#   asan          fault-labelled tests, tensor-pool, checkpoint, grad-shard,
-#                 flat Top-H list, top-K selector and serving suites under
-#                 ASan
+#   asan          fault-labelled tests, tensor-pool (with the trainer golden
+#                 and determinism suites), checkpoint, grad-shard, flat
+#                 Top-H list, top-K selector and serving suites under ASan
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
@@ -187,6 +189,33 @@ lane_bench() {
   # pooled training's parameters are not byte-identical to unpooled's, at
   # one and four threads.
   ./build/bench/bench_training --quick
+  echo "=== bench int flags (whole numbers >= 1, or exit non-zero) ==="
+  # Each line: the flag the error must name, then the bench binary and its
+  # arguments. Read as a prefix, these values would run silently wrong:
+  # --epochs=two as 0+0 epochs with a NaN speedup in the JSON, --items=2k
+  # as a 2-item world.
+  local flag cmd rc err
+  err="$(mktemp)"
+  TMP_DIRS+=("${err}")
+  while read -r flag cmd; do
+    set +e
+    # shellcheck disable=SC2086  # $cmd is a word list on purpose
+    ./build/bench/${cmd} > /dev/null 2> "${err}"
+    rc=$?
+    set -e
+    if [ "${rc}" -eq 0 ]; then
+      echo "FAIL: ${cmd} exited 0" >&2
+      exit 1
+    fi
+    if ! grep -q -- "--${flag} " "${err}"; then
+      echo "FAIL: ${cmd}: stderr does not name --${flag}" >&2
+      exit 1
+    fi
+  done <<'EOF'
+epochs bench_training --epochs=two
+items bench_inference --items=2k
+EOF
+  echo "bench int flag gate OK"
 }
 
 lane_serving() {
@@ -526,8 +555,11 @@ lane_asan() {
   echo "=== asan ctest (tensor-pool allocation suite) ==="
   # The pool hands recycled storage back to the ops; ASan verifies nothing
   # in the steady-state loop reads stale bytes or leaks escaped tensors.
+  # Each worker lane's pool serves several shards in turn, so the golden and
+  # determinism suites (race-labelled: otherwise only TSan runs them) push
+  # many shards through one lane pool at widths 1 and 4.
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'TrainerPoolTest|TensorPoolTest'
+    -R 'TrainerPoolTest|TensorPoolTest|TrainerGoldenTest|DeterminismTest'
   echo "=== asan ctest (checkpoint I/O and compact shard gradients) ==="
   # Checkpoint sections are views into one file buffer at computed offsets,
   # and loads copy records from there straight into the live tensors; shard
