@@ -450,7 +450,7 @@ Status ValidateTape(const ag::Tape& tape, const TapeLintOptions& options) {
 Status ValidateShardSlots(
     const std::vector<ag::GradShard::ParamSlot>& slots) {
   std::unordered_map<const ag::Tensor*, size_t> seen_tensor;
-  std::unordered_map<const std::unordered_set<int>*, size_t> seen_rows;
+  std::unordered_map<const ag::RowGrad*, size_t> seen_rows;
   for (size_t i = 0; i < slots.size(); ++i) {
     const ag::GradShard::ParamSlot& slot = slots[i];
     if (slot.tensor == nullptr)
@@ -464,11 +464,11 @@ Status ValidateShardSlots(
                     "its gradient would be reduced twice",
                     name.c_str(), it->second, i));
     }
-    if (slot.touched_rows != nullptr) {
-      auto [rit, rinserted] = seen_rows.emplace(slot.touched_rows, i);
+    if (slot.row_grad != nullptr) {
+      auto [rit, rinserted] = seen_rows.emplace(slot.row_grad, i);
       if (!rinserted) {
         return Status::Error(
-            StrFormat("touched-row set shared by shard slots %zu and %zu — "
+            StrFormat("row gradient shared by shard slots %zu and %zu — "
                       "sparse reductions would interleave two parameters",
                       rit->second, i));
       }

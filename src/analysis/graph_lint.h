@@ -93,7 +93,7 @@ Status ValidateTape(const ag::Tape& tape, const TapeLintOptions& options);
 
 // Validates a GradShard registration: every slot carries a tensor, no
 // tensor is registered twice (two shards reducing the same buffer would
-// double-count its gradient), and no touched-row set is shared by two
+// double-count its gradient), and no sparse row gradient is shared by two
 // different tensors. Run once per Trainer at construction.
 Status ValidateShardSlots(
     const std::vector<ag::GradShard::ParamSlot>& slots);

@@ -9,17 +9,37 @@ namespace groupsa::ag {
 GradCheckResult CheckGradients(const std::function<TensorPtr(Tape*)>& build,
                                const std::vector<TensorPtr>& params,
                                float step, float abs_tolerance,
-                               float rel_tolerance) {
+                               float rel_tolerance,
+                               const std::vector<RowGrad*>& row_grads) {
+  GROUPSA_CHECK(row_grads.empty() || row_grads.size() == params.size(),
+                "row_grads must run parallel to params");
+  auto row_grad = [&](size_t pi) {
+    return row_grads.empty() ? nullptr : row_grads[pi];
+  };
   GradCheckResult result;
 
-  // One analytic pass.
-  for (const TensorPtr& p : params) p->ZeroGrad();
+  // One analytic pass; a sparse gradient is scattered into a dense matrix.
+  for (size_t pi = 0; pi < params.size(); ++pi) {
+    params[pi]->ZeroGrad();
+    if (RowGrad* rows = row_grad(pi)) rows->Clear();
+  }
   std::vector<tensor::Matrix> analytic;
   {
     Tape tape;
     TensorPtr loss = build(&tape);
     tape.Backward(loss);
-    for (const TensorPtr& p : params) analytic.push_back(p->grad());
+    for (size_t pi = 0; pi < params.size(); ++pi) {
+      RowGrad* rows = row_grad(pi);
+      if (rows == nullptr) {
+        analytic.push_back(params[pi]->grad());
+        continue;
+      }
+      tensor::Matrix& dense =
+          analytic.emplace_back(params[pi]->rows(), params[pi]->cols());
+      for (size_t slot = 0; slot < rows->num_rows(); ++slot)
+        dense.SetRow(rows->rows()[slot], rows->slot(slot));
+      rows->Clear();
+    }
   }
 
   // Numeric central differences, element by element.

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/row_grad.h"
 #include "autograd/tape.h"
 #include "autograd/tensor.h"
 
@@ -27,10 +28,14 @@ struct GradCheckResult {
 // current parameter values. `params` are the tensors whose gradients are
 // checked (each must have requires_grad()). `step` is the finite-difference
 // step; mismatches larger than both `abs_tolerance` and `rel_tolerance` fail.
+// `row_grads`, when non-empty, runs parallel to `params`: a non-null entry
+// is that parameter's sparse gradient (an embedding module's RowGrad, which
+// its lookups' backward fills instead of grad()).
 GradCheckResult CheckGradients(
     const std::function<TensorPtr(Tape*)>& build,
     const std::vector<TensorPtr>& params, float step = 1e-3f,
-    float abs_tolerance = 2e-3f, float rel_tolerance = 2e-2f);
+    float abs_tolerance = 2e-3f, float rel_tolerance = 2e-2f,
+    const std::vector<RowGrad*>& row_grads = {});
 
 }  // namespace groupsa::ag
 

@@ -1,11 +1,11 @@
 #ifndef GROUPSA_AUTOGRAD_GRAD_SHARD_H_
 #define GROUPSA_AUTOGRAD_GRAD_SHARD_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "autograd/row_grad.h"
 #include "autograd/tensor.h"
 
 namespace groupsa::ag {
@@ -34,27 +34,26 @@ namespace groupsa::ag {
 // parameter's shape (Redirect).
 //
 // Sparse (embedding) parameters: a batch touches a handful of rows of a
-// vocabulary-sized table, so the shard keeps only those rows, compactly, in
-// the order they are first touched (AccumulateRows, the GatherRows
-// backward). A row->slot index of one int32 per table row finds a row's
-// slot; the slots x cols float buffer behind it keeps its capacity across
-// batches. A shard thus costs 4 B per table row plus 4 * cols B per touched
-// row, not a dense copy of the table. A dense grad() of a sparse parameter
-// under an active shard would write where no reduce looks, so it CHECK-fails
-// in every build type.
+// vocabulary-sized table, so the shard keeps only those rows, in an
+// ag::RowGrad of its own (AccumulateRows, the GatherRows backward). Its
+// index and slots are sized by the rows the shard touched and keep their
+// capacity across batches: 4 * cols B plus 12-20 B of row id and index per
+// touched row, and nothing per table row. A dense grad() of a sparse
+// parameter under an active shard would write where no reduce looks, so it
+// CHECK-fails in every build type.
 //
-// ReduceInto adds every slot row into the real gradient in shard order, so
-// each element gets the sum a dense per-shard buffer would give it. It
-// leaves the shard clean for the next batch without any per-batch
+// ReduceInto adds every shard row into the parameter's own RowGrad in shard
+// order, so each element gets the sum a dense per-shard buffer would give
+// it. It leaves the shard clean for the next batch without any per-batch
 // allocation: dense buffers are cleared (cheap at their size) and the row
 // index is reset only at the touched rows.
 class GradShard {
  public:
   struct ParamSlot {
     Tensor* tensor = nullptr;
-    // Non-null for sparse (embedding) parameters: the module-owned set the
-    // optimizer consumes. ReduceInto adds the rows the shard touched.
-    std::unordered_set<int>* touched_rows = nullptr;
+    // Non-null for sparse (embedding) parameters: the module-owned gradient
+    // the optimizer consumes. ReduceInto adds the shard's rows into it.
+    RowGrad* row_grad = nullptr;
   };
 
   explicit GradShard(const std::vector<ParamSlot>& slots);
@@ -79,31 +78,29 @@ class GradShard {
 
   // Adds row i of `grads` into row row_ids[i] of `table`'s gradient, in
   // order. With an active shard that registered `table` as sparse, the rows
-  // land in the shard's compact rows (recorded as touched at ReduceInto);
-  // otherwise they go to table->grad() and `touched_rows`, when non-null,
-  // records them. Called by the GatherRows backward closure.
-  static void AccumulateRows(Tensor* table,
-                             std::unordered_set<int>* touched_rows,
+  // land in the shard's own RowGrad; otherwise in `row_grad` when it is
+  // non-null, and in the dense table->grad() when it is null. Called by the
+  // GatherRows backward closure.
+  static void AccumulateRows(Tensor* table, RowGrad* row_grad,
                              const std::vector<int>& row_ids,
                              const tensor::Matrix& grads);
 
-  // Adds the shard's accumulated gradients into the real parameter tensors
-  // and the touched rows into each sparse parameter's set, then leaves the
-  // shard clean for the next batch. Must run with no shard active,
-  // serially, in shard order across shards.
+  // Adds the shard's accumulated gradients into the real parameter
+  // gradients (dense tensors' grad(), sparse parameters' RowGrad), then
+  // leaves the shard clean for the next batch. Must run with no shard
+  // active, serially, in shard order across shards.
   void ReduceInto();
+
+  // Bytes the shard holds for its sparse parameters' rows and indices.
+  size_t sparse_bytes() const;
 
  private:
   struct Buffer {
     ParamSlot slot;
     // Dense parameters: lazily sized on first redirect.
     tensor::Matrix grad;
-    // Sparse parameters: table row -> slot (-1 when untouched), sized on
-    // first touch; the touched rows in first-touch order; and their
-    // gradients, slot-major, rows.size() x cols.
-    std::vector<int32_t> slot_of_row;
-    std::vector<int> rows;
-    std::vector<float> row_grads;
+    // Sparse parameters: the rows this shard touched since the last reduce.
+    RowGrad rows;
     bool used = false;  // written to since the last reduce
   };
 

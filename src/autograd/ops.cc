@@ -315,8 +315,7 @@ TensorPtr SliceRows(Tape* tape, const TensorPtr& x, int start, int count) {
 }
 
 TensorPtr GatherRows(Tape* tape, const TensorPtr& table,
-                     const std::vector<int>& row_ids,
-                     std::unordered_set<int>* touched_rows) {
+                     const std::vector<int>& row_ids, RowGrad* row_grad) {
   const bool needs_grad = tape != nullptr && table->requires_grad();
   TensorPtr out = AcquireOutput(static_cast<int>(row_ids.size()),
                                 table->cols(), needs_grad);
@@ -326,14 +325,13 @@ TensorPtr GatherRows(Tape* tape, const TensorPtr& table,
   RecordNode(tape, OpKind::kGatherRows, {table}, out,
              static_cast<int>(row_ids.size()), max_id);
   if (!needs_grad) return out;
-  // Touched rows are recorded at backward time, not forward time: rows only
-  // matter to the optimizer once they carry gradient, and keeping the
-  // forward pass free of shared-state writes is what lets no-tape inference
-  // and parallel shard forwards run concurrently. Under an active GradShard
-  // the rows go to its compact per-row gradients (grad_shard.h).
-  tape->Record([table, out, row_ids, touched_rows]() {
-    GradShard::AccumulateRows(table.get(), touched_rows, row_ids,
-                              out->grad());
+  // Rows are recorded at backward time, not forward time: rows only matter
+  // to the optimizer once they carry gradient, and keeping the forward pass
+  // free of shared-state writes is what lets no-tape inference and parallel
+  // shard forwards run concurrently. Under an active GradShard the rows go
+  // to the shard's own RowGrad (grad_shard.h).
+  tape->Record([table, out, row_ids, row_grad]() {
+    GradShard::AccumulateRows(table.get(), row_grad, row_ids, out->grad());
   });
   return out;
 }

@@ -1,9 +1,9 @@
 #ifndef GROUPSA_AUTOGRAD_OPS_H_
 #define GROUPSA_AUTOGRAD_OPS_H_
 
-#include <unordered_set>
 #include <vector>
 
+#include "autograd/row_grad.h"
 #include "autograd/tape.h"
 #include "autograd/tensor.h"
 #include "common/rng.h"
@@ -45,12 +45,13 @@ TensorPtr ConcatRows(Tape* tape, const std::vector<TensorPtr>& parts);
 // Rows [start, start+count) of x as a new tensor.
 TensorPtr SliceRows(Tape* tape, const TensorPtr& x, int start, int count);
 
-// Embedding lookup: one output row per id in `row_ids`. If `touched_rows` is
-// non-null, the backward pass inserts every id into it (used by sparse
-// optimizers to restrict their update to touched embedding rows).
+// Embedding lookup: one output row per id in `row_ids`. If `row_grad` is
+// non-null, the backward pass adds the rows' gradients into it (row_grad.h)
+// instead of into a dense table->grad(), so sparse optimizers see only the
+// touched rows and no gradient is sized by the table.
 TensorPtr GatherRows(Tape* tape, const TensorPtr& table,
                      const std::vector<int>& row_ids,
-                     std::unordered_set<int>* touched_rows = nullptr);
+                     RowGrad* row_grad = nullptr);
 
 // Matrix transpose.
 TensorPtr Transpose(Tape* tape, const TensorPtr& x);

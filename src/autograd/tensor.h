@@ -48,12 +48,13 @@ class Tensor {
     return value_.At(0, 0);
   }
 
-  // Gradient storage, allocated (zeroed, same shape as value) on first use.
-  // When a GradShard (autograd/grad_shard.h) is active on the calling thread
-  // and this dense tensor is registered with it, resolves to the shard-local
-  // buffer instead — the hook behind lock-free sharded minibatch training.
-  // A registered sparse tensor dies here: under a shard its gradient lives
-  // in compact rows.
+  // Dense gradient storage, allocated (zeroed, same shape as value) on first
+  // use. When a GradShard (autograd/grad_shard.h) is active on the calling
+  // thread and this dense tensor is registered with it, resolves to the
+  // shard-local buffer instead — the hook behind lock-free sharded minibatch
+  // training. A registered sparse tensor dies here. An embedding table's
+  // gradient lives in its module's ag::RowGrad (row_grad.h), never here, so
+  // a trained table has no dense gradient (has_grad() stays false).
   tensor::Matrix& grad();
   const tensor::Matrix& grad_view() const { return grad_; }
   bool has_grad() const { return grad_.SameShape(value_); }

@@ -1,7 +1,6 @@
 #include "core/groupsa_model.h"
 
 #include <span>
-#include <unordered_set>
 #include <utility>
 
 #include "analysis/graph_lint.h"
@@ -252,16 +251,8 @@ Status GroupSaModel::ValidateGraph() {
   }
   if (negatives.empty()) negatives.push_back(pos);
 
-  // The probe forward marks embedding rows as touched (exactly as a training
-  // forward would); snapshot the touched-row sets so validation leaves the
-  // optimizer's sparse-update bookkeeping untouched.
-  std::vector<std::pair<std::unordered_set<int>*, std::unordered_set<int>>>
-      saved_touched;
-  for (const nn::ParamEntry& p : Parameters()) {
-    if (p.touched_rows != nullptr)
-      saved_touched.emplace_back(p.touched_rows, *p.touched_rows);
-  }
-
+  // The probe builds a forward graph and never runs its backward pass, so
+  // no gradient (dense or the embeddings' touched rows) changes.
   Rng probe_rng(0x9E3779B9u);
   ag::Tape tape;
   tape.set_record_graph(true);
@@ -301,11 +292,7 @@ Status GroupSaModel::ValidateGraph() {
   // anything unreached here would be "trained" by the optimizer without ever
   // receiving a gradient.
   options.check_unreached_params = true;
-  Status status = analysis::ValidateTape(tape, options);
-
-  for (auto& [set_ptr, snapshot] : saved_touched)
-    *set_ptr = std::move(snapshot);
-  return status;
+  return analysis::ValidateTape(tape, options);
 }
 
 std::vector<std::pair<data::ItemId, double>> GroupSaModel::RecommendForGroup(

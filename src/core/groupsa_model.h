@@ -140,8 +140,8 @@ class GroupSaModel : public nn::Module {
   // registered parameter must be reachable backward from the loss — i.e. the
   // wiring the optimizer assumes actually exists. Returns Ok on a
   // well-formed graph, otherwise an error with op-by-op diagnostics. Cheap
-  // (one tiny forward pass); never mutates parameters or RNG state reachable
-  // from training.
+  // (one tiny forward pass, no backward); never mutates parameters, their
+  // gradients or RNG state reachable from training.
   Status ValidateGraph();
 
   nn::Embedding& user_embedding() { return *user_emb_; }

@@ -43,8 +43,8 @@ Trainer::Trainer(GroupSaModel* model, const data::EdgeList& user_train,
   optimizer_ = std::make_unique<nn::Adam>(
       model->Parameters(), config.learning_rate, config.weight_decay);
   for (const nn::ParamEntry& p : model->Parameters())
-    grad_slots_.push_back({p.tensor.get(), p.touched_rows});
-  // A malformed registration (duplicate tensor, shared touched-row set)
+    grad_slots_.push_back({p.tensor.get(), p.row_grad});
+  // A malformed registration (duplicate tensor, shared row gradient)
   // would double-count gradients on every batch; fail construction instead.
   if (Status s = analysis::ValidateShardSlots(grad_slots_); !s.ok())
     GROUPSA_CHECK(false, s.message().c_str());
@@ -66,20 +66,19 @@ ag::TensorPool::Stats Trainer::PoolStats() const {
 }
 
 bool Trainer::GradientsFinite() const {
+  auto all_finite = [](const float* g, size_t n) {
+    for (size_t i = 0; i < n; ++i)
+      if (!std::isfinite(g[i])) return false;
+    return true;
+  };
   for (const ag::GradShard::ParamSlot& slot : grad_slots_) {
-    if (!slot.tensor->has_grad()) continue;
-    const tensor::Matrix& grad = slot.tensor->grad_view();
-    auto row_finite = [&](int r) {
-      for (float g : grad.RowAt(r))
-        if (!std::isfinite(g)) return false;
-      return true;
-    };
-    if (slot.touched_rows != nullptr) {
-      for (int r : *slot.touched_rows)
-        if (!row_finite(r)) return false;
-    } else {
-      for (int r = 0; r < grad.rows(); ++r)
-        if (!row_finite(r)) return false;
+    if (slot.row_grad != nullptr) {
+      const std::vector<float>& rows = slot.row_grad->values();
+      if (!all_finite(rows.data(), rows.size())) return false;
+    } else if (slot.tensor->has_grad()) {
+      const tensor::Matrix& grad = slot.tensor->grad_view();
+      if (!all_finite(grad.data(), static_cast<size_t>(grad.size())))
+        return false;
     }
   }
   return true;
@@ -87,8 +86,8 @@ bool Trainer::GradientsFinite() const {
 
 void Trainer::DropBatchGradients() {
   for (const ag::GradShard::ParamSlot& slot : grad_slots_) {
-    if (slot.tensor->has_grad()) slot.tensor->ZeroGrad();
-    if (slot.touched_rows != nullptr) slot.touched_rows->clear();
+    slot.tensor->ZeroGrad();
+    if (slot.row_grad != nullptr) slot.row_grad->Clear();
   }
 }
 
@@ -186,7 +185,7 @@ Trainer::EpochStats Trainer::RunShardedEpoch(int num_samples,
       }
     });
     // Deterministic merge: shard order, on this thread. ReduceInto also
-    // leaves each sink clean (embeddings: compact touched rows only).
+    // leaves each sink clean (embeddings: touched rows only).
     for (int s = 0; s < num_shards; ++s)
       shard_sinks_[static_cast<size_t>(s)]->ReduceInto();
 
@@ -314,9 +313,22 @@ Trainer::EpochStats Trainer::RunSocialEpoch() {
   const int num_users = model_->num_users();
   std::vector<std::pair<data::UserId, data::UserId>> edges;
   for (data::UserId u = 0; u < num_users; ++u) {
-    for (data::UserId v : social.Neighbors(u)) {
+    const std::vector<data::UserId>& friends = social.Neighbors(u);
+    for (data::UserId v : friends) {
       if (u < v) edges.emplace_back(u, v);
     }
+    // The negative draw below retries until it finds a user other than u
+    // who is not u's friend. For a user who anchors an edge (has a later
+    // friend) and is a friend of every other user there is none, so fail
+    // here, naming the user, instead of retrying forever.
+    const bool anchors_edges = !friends.empty() && friends.back() > u;
+    GROUPSA_CHECK(config.num_negatives == 0 || !anchors_edges ||
+                      social.Degree(u) < num_users - 1,
+                  StrFormat("user %d is a friend of every other user, so "
+                            "the social objective has no negative to "
+                            "sample for it",
+                            u)
+                      .c_str());
   }
   rng_->Shuffle(&edges);
 

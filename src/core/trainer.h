@@ -184,7 +184,7 @@ class Trainer {
                        const Rng::State& unit_start) const;
 
   // Divergence guard helpers: scan the merged gradients of the current
-  // batch / drop them without stepping (dense grads zeroed, touched-row sets
+  // batch / drop them without stepping (dense grads zeroed, row gradients
   // cleared).
   bool GradientsFinite() const;
   void DropBatchGradients();

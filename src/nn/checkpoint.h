@@ -43,10 +43,13 @@ namespace groupsa::nn {
 // length counter for the section's directory entry and once into one 64 KiB
 // write buffer, so no section and no file is ever assembled in memory. The
 // data is read once per CRC tier: ParamsSection's record CRCs, the counter
-// run's section CRC and the write run's file CRC. A load holds the file once
-// (CheckpointReader) and stages nothing: the payload is checked in place,
-// then copied straight into the live tensors (CheckParameters /
-// ApplyParameters below).
+// run's section CRC and the write run's file CRC. LoadParameters streams:
+// it reads the open file four times through one 64 KiB buffer (trailer CRC,
+// section directory and CRCs, params check, then the copy straight into the
+// live tensors), so a load holds a chunk of the file, never the file. A
+// training snapshot's resume holds the file once (CheckpointReader) and
+// stages nothing: its payloads are checked in place, then copied into the
+// live tensors (CheckParameters / ApplyParameters below).
 //
 // Failpoints (common/failpoint.h) for fault-injection tests and CI:
 //   "checkpoint.write"   hit once per 64 KiB chunk written; error = the
@@ -82,7 +85,8 @@ class CheckpointWriter {
 // Reads and fully verifies a v2 checkpoint: file CRC, header, section
 // directory, per-section CRCs. A v1 file (magic "GSPA") or any corruption is
 // rejected with a descriptive Status and nothing is exposed. The file is
-// read once, at its fstat size, into one buffer the sections are views of.
+// read once, at its fstat size, into one buffer the sections are views of;
+// LoadParameters runs the same checks streamed, without the buffer.
 class CheckpointReader {
  public:
   static Status Read(const std::string& path, CheckpointReader* out);
@@ -92,14 +96,15 @@ class CheckpointReader {
   // the reader lives and is not re-read); empty when the section is absent.
   std::optional<std::string_view> Find(const std::string& name) const;
 
- private:
-  // Offsets, not pointers, into bytes_: moving the reader moves the buffer
-  // and leaves nothing dangling.
+  // Where a section's payload sits in the file. Offsets, not pointers:
+  // moving the reader moves the buffer and leaves nothing dangling.
   struct Section {
     std::string name;
     size_t offset = 0;
     size_t size = 0;
   };
+
+ private:
   std::string bytes_;
   std::vector<Section> sections_;
 };
@@ -151,7 +156,11 @@ void ApplyParameters(const std::vector<ParamEntry>& params,
 Status DecodeParameters(const std::vector<ParamEntry>& params,
                         std::string_view payload);
 
-// Whole-model convenience wrappers over a single-"params"-section v2 file.
+// Whole-model convenience wrappers over a v2 file's "params" section.
+// LoadParameters runs every check above before it copies anything, so on
+// any error the model is untouched; a read that fails during the copy (the
+// file cut in place under the open handle) CHECK-fails rather than leave a
+// half-copied model.
 Status SaveParameters(const std::vector<ParamEntry>& params,
                       const std::string& path);
 Status LoadParameters(const std::vector<ParamEntry>& params,

@@ -1,7 +1,6 @@
 #ifndef GROUPSA_NN_EMBEDDING_H_
 #define GROUPSA_NN_EMBEDDING_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -9,8 +8,10 @@
 
 namespace groupsa::nn {
 
-// Embedding table (count x dim), Glorot-initialized per the paper. Lookups
-// record touched rows so sparse optimizers update only those rows.
+// Embedding table (count x dim), Glorot-initialized per the paper. The
+// backward pass of a lookup adds into the module's RowGrad, which holds the
+// touched rows only, so optimizers update only those rows and the table
+// never carries a dense gradient.
 class Embedding : public Module {
  public:
   Embedding(const std::string& name, int count, int dim, Rng* rng);
@@ -29,6 +30,8 @@ class Embedding : public Module {
   int count() const { return table_->rows(); }
   int dim() const { return table_->cols(); }
   const ag::TensorPtr& table() const { return table_; }
+  // The table's gradient: the rows touched since the last optimizer step.
+  const ag::RowGrad& row_grad() const { return row_grad_; }
 
   // Overwrites the table values (used by the joint-training hand-off that
   // initializes the group task from stage-1 embeddings, Sec. II-E).
@@ -36,7 +39,7 @@ class Embedding : public Module {
 
  private:
   ag::TensorPtr table_;
-  std::unordered_set<int> touched_rows_;
+  ag::RowGrad row_grad_;
 };
 
 }  // namespace groupsa::nn

@@ -14,7 +14,10 @@ std::vector<ParamEntry> Module::Parameters() const {
 }
 
 void Module::ZeroGrad() const {
-  for (const ParamEntry& entry : Parameters()) entry.tensor->ZeroGrad();
+  for (const ParamEntry& entry : Parameters()) {
+    entry.tensor->ZeroGrad();
+    if (entry.row_grad != nullptr) entry.row_grad->Clear();
+  }
 }
 
 int64_t Module::NumParameterScalars() const {
@@ -32,11 +35,10 @@ ag::TensorPtr Module::RegisterParameter(const std::string& name, int rows,
   return t;
 }
 
-void Module::MarkSparse(const ag::TensorPtr& tensor,
-                        std::unordered_set<int>* touched_rows) {
+void Module::MarkSparse(const ag::TensorPtr& tensor, ag::RowGrad* row_grad) {
   for (ParamEntry& entry : own_params_) {
     if (entry.tensor == tensor) {
-      entry.touched_rows = touched_rows;
+      entry.row_grad = row_grad;
       return;
     }
   }

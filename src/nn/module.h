@@ -2,9 +2,9 @@
 #define GROUPSA_NN_MODULE_H_
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "autograd/row_grad.h"
 #include "autograd/tensor.h"
 
 namespace groupsa::nn {
@@ -13,10 +13,11 @@ namespace groupsa::nn {
 struct ParamEntry {
   std::string name;
   ag::TensorPtr tensor;
-  // Non-null for embedding-style parameters: the rows touched since the last
-  // optimizer step. Sparse-aware optimizers update (and re-zero) only these
-  // rows and then clear the set.
-  std::unordered_set<int>* touched_rows = nullptr;
+  // Non-null for embedding-style parameters: the module-owned gradient of
+  // the rows touched since the last optimizer step (autograd/row_grad.h).
+  // Optimizers update only these rows and then clear it; such a parameter
+  // never holds a dense grad().
+  ag::RowGrad* row_grad = nullptr;
 };
 
 // Base class for neural network building blocks. A module owns parameters
@@ -33,9 +34,8 @@ class Module {
   // submodules.
   std::vector<ParamEntry> Parameters() const;
 
-  // Zeroes gradient storage of every parameter. For sparse parameters this
-  // zeroes the full gradient matrix; optimizers prefer their own row-level
-  // zeroing on the hot path.
+  // Zeroes the dense gradient of every parameter and drops every sparse
+  // parameter's touched rows.
   void ZeroGrad() const;
 
   // Total number of scalar parameters (for reporting).
@@ -46,10 +46,9 @@ class Module {
   // call an initializer from nn/init.h afterwards).
   ag::TensorPtr RegisterParameter(const std::string& name, int rows, int cols);
 
-  // Marks `tensor` (already registered) as sparsely updated with the given
-  // touched-row set, owned by the caller module.
-  void MarkSparse(const ag::TensorPtr& tensor,
-                  std::unordered_set<int>* touched_rows);
+  // Marks `tensor` (already registered) as sparsely updated: its gradient
+  // is `row_grad`, owned by the caller module.
+  void MarkSparse(const ag::TensorPtr& tensor, ag::RowGrad* row_grad);
 
   // Registers a child module; its parameters appear as "<prefix>/<name>".
   // The child must outlive this module (typically it is a data member).

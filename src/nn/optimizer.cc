@@ -29,10 +29,8 @@ void Sgd::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     ParamEntry& p = params_[i];
     tensor::Matrix& value = p.tensor->mutable_value();
-    tensor::Matrix& grad = p.tensor->grad();
-    auto update_row = [&](int r) {
+    auto update_row = [&](int r, const float* g) {
       float* v = value.RowPtr(r);
-      float* g = grad.RowPtr(r);
       float* vel = momentum_ != 0.0f ? velocity_[i].RowPtr(r) : nullptr;
       for (int c = 0; c < value.cols(); ++c) {
         float gc = g[c] + weight_decay_ * v[c];
@@ -41,16 +39,18 @@ void Sgd::Step() {
           gc = vel[c];
         }
         v[c] -= learning_rate_ * gc;
-        g[c] = 0.0f;
       }
     };
-    if (p.touched_rows != nullptr) {
-      for (int r : *p.touched_rows) update_row(r);
-      p.touched_rows->clear();
-    } else {
-      if (grad.MaxAbs() == 0.0f) continue;  // see header: lazy decay
-      for (int r = 0; r < value.rows(); ++r) update_row(r);
+    if (p.row_grad != nullptr) {
+      for (size_t k = 0; k < p.row_grad->num_rows(); ++k)
+        update_row(p.row_grad->rows()[k], p.row_grad->slot(k));
+      p.row_grad->Clear();
+      continue;
     }
+    tensor::Matrix& grad = p.tensor->grad();
+    if (grad.MaxAbs() == 0.0f) continue;  // see header: lazy decay
+    for (int r = 0; r < value.rows(); ++r) update_row(r, grad.RowPtr(r));
+    grad.SetZero();
   }
 }
 
@@ -68,8 +68,7 @@ Adam::Adam(std::vector<ParamEntry> params, float learning_rate,
     const ParamEntry& p = params_[i];
     m_.emplace_back(p.tensor->rows(), p.tensor->cols());
     v_.emplace_back(p.tensor->rows(), p.tensor->cols());
-    if (p.touched_rows != nullptr)
-      row_step_[i].assign(p.tensor->rows(), 0);
+    if (p.row_grad != nullptr) row_step_[i].assign(p.tensor->rows(), 0);
   }
 }
 
@@ -77,12 +76,10 @@ void Adam::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     ParamEntry& p = params_[i];
     tensor::Matrix& value = p.tensor->mutable_value();
-    tensor::Matrix& grad = p.tensor->grad();
-    auto update_row = [&](int r, int64_t t) {
+    auto update_row = [&](int r, const float* g, int64_t t) {
       const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t));
       const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t));
       float* val = value.RowPtr(r);
-      float* g = grad.RowPtr(r);
       float* mr = m_[i].RowPtr(r);
       float* vr = v_[i].RowPtr(r);
       for (int c = 0; c < value.cols(); ++c) {
@@ -92,17 +89,23 @@ void Adam::Step() {
         const float m_hat = mr[c] / bc1;
         const float v_hat = vr[c] / bc2;
         val[c] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-        g[c] = 0.0f;
       }
     };
-    if (p.touched_rows != nullptr) {
-      for (int r : *p.touched_rows) update_row(r, ++row_step_[i][r]);
-      p.touched_rows->clear();
-    } else {
-      if (grad.MaxAbs() == 0.0f) continue;  // see header: lazy decay
-      const int64_t t = ++step_[i];
-      for (int r = 0; r < value.rows(); ++r) update_row(r, t);
+    if (p.row_grad != nullptr) {
+      // Rows are independent (each has its own step counter), so visiting
+      // them in first-touch order gives the bits of any other order.
+      for (size_t k = 0; k < p.row_grad->num_rows(); ++k) {
+        const int r = p.row_grad->rows()[k];
+        update_row(r, p.row_grad->slot(k), ++row_step_[i][r]);
+      }
+      p.row_grad->Clear();
+      continue;
     }
+    tensor::Matrix& grad = p.tensor->grad();
+    if (grad.MaxAbs() == 0.0f) continue;  // see header: lazy decay
+    const int64_t t = ++step_[i];
+    for (int r = 0; r < value.rows(); ++r) update_row(r, grad.RowPtr(r), t);
+    grad.SetZero();
   }
 }
 

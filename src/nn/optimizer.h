@@ -18,8 +18,8 @@ namespace groupsa::nn {
 //   optimizer.Step();   // applies updates AND re-zeroes the gradients
 //
 // Step() zeroes consumed gradients itself: dense parameters are fully
-// re-zeroed, sparse (embedding) parameters only on their touched rows, whose
-// set is then cleared. λ‖Θ‖² regularization (Eq. 21/24) is applied as
+// re-zeroed, and a sparse (embedding) parameter's RowGrad, which holds only
+// its touched rows, is cleared. λ‖Θ‖² regularization (Eq. 21/24) is applied as
 // coupled L2 weight decay: grad += weight_decay * value.
 //
 // Lazy decay: parameters whose gradient is identically zero for a step are

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -374,11 +375,11 @@ TEST(GraphLintTest, ShardSlotsRejectDuplicateTensor) {
 TEST(GraphLintTest, ShardSlotsRejectSharedTouchedRows) {
   ag::TensorPtr a = Var(2, 2);
   ag::TensorPtr b = Var(2, 2);
-  std::unordered_set<int> rows;
+  ag::RowGrad rows(2);
   const Status status = ValidateShardSlots({{a.get(), &rows}, {b.get(), &rows}});
   ASSERT_FALSE(status.ok());
   EXPECT_HAS(status.message(),
-              ("touched-row set shared by shard slots 0 and 1"));
+              ("row gradient shared by shard slots 0 and 1"));
 }
 
 TEST(GraphLintTest, ShardSlotsRejectNullTensor) {
@@ -413,16 +414,50 @@ TEST(GraphLintTest, GroupSaTrainingGraphValidatesAtOneAndFourThreads) {
   }
 }
 
+// ValidateGraph leaves a batch's pending gradients alone: after a real
+// backward pass, every pending touched row and its gradient values are
+// bit-identical once validation has run.
 TEST(GraphLintTest, ValidateGraphLeavesTouchedRowsIntact) {
   const core::GroupSaConfig config = SmallConfig(1);
   const TinyFixture f = TinyFixture::Make(config);
   auto model = f.MakeModel(config);
-  ASSERT_TRUE(model->ValidateGraph().ok());
-  for (const nn::ParamEntry& p : model->Parameters()) {
-    if (p.touched_rows != nullptr) {
-      EXPECT_TRUE(p.touched_rows->empty()) << p.name;
-    }
+  {
+    Rng rng(3);
+    ag::Tape tape;
+    auto fwd = model->BuildGroupForward(&tape, 0, /*training=*/true, &rng);
+    auto pos = model->ScoreGroupItem(&tape, fwd, 1, true, &rng);
+    auto neg = model->ScoreGroupItem(&tape, fwd, 2, true, &rng);
+    tape.Backward(ag::BprLoss(&tape, pos.score, neg.score));
   }
+  struct Pending {
+    std::string name;
+    std::vector<int> rows;
+    std::vector<float> values;
+  };
+  std::vector<Pending> before;
+  for (const nn::ParamEntry& p : model->Parameters()) {
+    if (p.row_grad != nullptr)
+      before.push_back({p.name, p.row_grad->rows(), p.row_grad->values()});
+  }
+  size_t pending_rows = 0;
+  for (const Pending& p : before) pending_rows += p.rows.size();
+  ASSERT_GT(pending_rows, 0u) << "the backward pass touched no row";
+
+  ASSERT_TRUE(model->ValidateGraph().ok());
+  size_t i = 0;
+  for (const nn::ParamEntry& p : model->Parameters()) {
+    if (p.row_grad == nullptr) continue;
+    ASSERT_LT(i, before.size());
+    const Pending& want = before[i++];
+    EXPECT_EQ(p.name, want.name);
+    EXPECT_EQ(p.row_grad->rows(), want.rows) << p.name;
+    ASSERT_EQ(p.row_grad->values().size(), want.values.size()) << p.name;
+    EXPECT_EQ(std::memcmp(p.row_grad->values().data(), want.values.data(),
+                          sizeof(float) * want.values.size()),
+              0)
+        << p.name;
+  }
+  EXPECT_EQ(i, before.size());
 }
 
 // Shard tapes built on pool threads validate inside the trainer's debug

@@ -59,7 +59,7 @@ TEST(NcfTest, ParameterTreeHasFourTablesAndTowers) {
   Ncf ncf(SmallOptions(), 5, 6, &rng);
   int tables = 0;
   for (const auto& p : ncf.Parameters())
-    tables += p.touched_rows != nullptr;
+    tables += p.row_grad != nullptr;
   EXPECT_EQ(tables, 4);  // gmf+mlp tables for rows and items
 }
 

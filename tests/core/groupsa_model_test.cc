@@ -141,11 +141,13 @@ TEST(GroupSaModelTest, TrainingGraphProducesParameterGradients) {
   tape.Backward(loss);
   // The shared user embedding rows of the group members must have received
   // gradient.
+  const ag::RowGrad& user_grad = model->user_embedding().row_grad();
   float grad_mass = 0.0f;
   for (data::UserId member : f.world.dataset.groups.Members(0)) {
+    const int slot = user_grad.Find(member);
+    ASSERT_GE(slot, 0) << "member " << member;
     for (int c = 0; c < config.embedding_dim; ++c)
-      grad_mass +=
-          std::abs(model->user_embedding().table()->grad().At(member, c));
+      grad_mass += std::abs(user_grad.slot(static_cast<size_t>(slot))[c]);
   }
   EXPECT_GT(grad_mass, 0.0f);
 }

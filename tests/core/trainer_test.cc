@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/test_fixtures.h"
+#include "data/tfidf.h"
 
 namespace groupsa::core {
 namespace {
@@ -117,6 +118,56 @@ TEST(TrainerTest, TrainingImprovesGroupRankingOverInit) {
   trainer.Fit();
   const double after = avg_margin();
   EXPECT_GT(after, before);
+}
+
+// Embedding gradients live in their modules' row gradients, never in a
+// dense table-sized grad(): after a whole Fit, at either pool width, no
+// embedding table has one, and the optimizer has consumed every touched
+// row.
+TEST(TrainerTest, FitLeavesNoDenseEmbeddingGradient) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    GroupSaConfig config = FastConfig();
+    config.threads = threads;
+    const TinyFixture f = TinyFixture::Make(config);
+    auto model = f.MakeModel(config);
+    Rng rng(8);
+    Trainer trainer(model.get(), f.ui.train, f.gi.train, &f.ui_train,
+                    &f.gi_train, &rng);
+    trainer.Fit();
+    int tables = 0;
+    for (const nn::ParamEntry& p : model->Parameters()) {
+      if (p.row_grad == nullptr) continue;
+      ++tables;
+      EXPECT_FALSE(p.tensor->has_grad()) << p.name;
+      EXPECT_TRUE(p.row_grad->empty()) << p.name;
+    }
+    EXPECT_GE(tables, 2);  // the user and item tables at least
+  }
+}
+
+// A 3-user star (edges 0-1 and 0-2): user 0 is a friend of every other
+// user, so the social objective has no negative for the edges it anchors.
+// The epoch fails at once, naming the user, instead of redrawing forever.
+TEST(TrainerDeathTest, SocialEpochFailsWhenAUserBefriendsEveryone) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const GroupSaConfig config = FastConfig();
+  const data::SocialGraph social(3, {{0, 1}, {0, 2}});
+  const data::GroupTable groups({{0, 1}, {1, 2}});
+  const data::EdgeList user_train = {{0, 0}, {1, 1}, {2, 2}, {0, 3}};
+  const data::EdgeList group_train = {{0, 0}, {1, 2}};
+  const data::InteractionMatrix ui(3, 4, user_train);
+  const data::InteractionMatrix gi(2, 4, group_train);
+  ModelData model_data;
+  model_data.groups = &groups;
+  model_data.social = &social;
+  model_data.top_items = data::TopItemsPerUser(ui, config.top_h);
+  model_data.top_friends = data::TopFriendsPerUser(social, config.top_h);
+  Rng rng(9);
+  GroupSaModel model(config, 3, 4, std::move(model_data), &rng);
+  Trainer trainer(&model, user_train, group_train, &ui, &gi, &rng);
+  EXPECT_DEATH(trainer.RunSocialEpoch(),
+               "user 0 is a friend of every other user");
 }
 
 }  // namespace

@@ -471,6 +471,28 @@ TEST(CheckpointTest, LoadWritesIntoLiveStorage) {
   EXPECT_EQ(EncodeParameters(params), EncodeParameters(source.Parameters()));
 }
 
+// LoadParameters streams the file through one 64 KiB buffer, so a record
+// spans chunks. A NaN in the last value of a 224 KB table, chunks past the
+// first, is still found and named, and nothing is copied.
+TEST(CheckpointTest, StreamedLoadChecksValuesPastTheFirstChunk) {
+  const MultiChunkModel source(23);
+  const Matrix& table = source.emb.table()->value();
+  source.emb.table()->mutable_value().At(table.rows() - 1, table.cols() - 1) =
+      std::numeric_limits<float>::quiet_NaN();
+  const std::string path = TempPath("ckpt_streamed_nan.bin");
+  ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
+
+  const MultiChunkModel dest(24);
+  const auto before = SnapshotValues(dest.Parameters());
+  const Status s = LoadParameters(dest.Parameters(), path);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("non-finite value in parameter emb.table at "
+                             "row 699, col 79"),
+            std::string::npos)
+      << s.message();
+  EXPECT_TRUE(ValuesEqual(dest.Parameters(), before));
+}
+
 // "checkpoint.write" is hit once per 64 KiB chunk: a write error on the
 // last chunk fails the save, one hit later there is none left to fail.
 TEST(CheckpointTest, WriteFailpointHitsOncePerChunk) {

@@ -31,21 +31,21 @@ TEST(EmbeddingTest, TracksTouchedRowsAsSparseParam) {
   Embedding emb("e", 10, 2, &rng);
   const auto params = emb.Parameters();
   ASSERT_EQ(params.size(), 1u);
-  ASSERT_NE(params[0].touched_rows, nullptr);
-  EXPECT_TRUE(params[0].touched_rows->empty());
+  ASSERT_EQ(params[0].row_grad, &emb.row_grad());
+  EXPECT_TRUE(params[0].row_grad->empty());
   ag::Tape tape;
   ag::TensorPtr a = emb.Forward(&tape, {1, 7});
   ag::TensorPtr b = emb.Forward(&tape, {7});
   // Touched rows are recorded during the backward pass (the forward pass is
   // pure so concurrent no-tape inference is thread-safe), so nothing is
   // tracked yet.
-  EXPECT_TRUE(params[0].touched_rows->empty());
+  EXPECT_TRUE(params[0].row_grad->empty());
   ag::TensorPtr loss =
       ag::Add(&tape, ag::SumAll(&tape, a), ag::SumAll(&tape, b));
   tape.Backward(loss);
-  EXPECT_EQ(params[0].touched_rows->size(), 2u);
-  EXPECT_TRUE(params[0].touched_rows->count(1));
-  EXPECT_TRUE(params[0].touched_rows->count(7));
+  EXPECT_EQ(params[0].row_grad->num_rows(), 2u);
+  EXPECT_GE(params[0].row_grad->Find(1), 0);
+  EXPECT_GE(params[0].row_grad->Find(7), 0);
 }
 
 TEST(EmbeddingTest, GradientScattersIntoTouchedRows) {
@@ -55,10 +55,15 @@ TEST(EmbeddingTest, GradientScattersIntoTouchedRows) {
   ag::TensorPtr out = emb.Forward(&tape, {1, 1, 3});
   ag::TensorPtr loss = ag::SumAll(&tape, out);
   tape.Backward(loss);
-  const Matrix& grad = emb.table()->grad();
-  EXPECT_FLOAT_EQ(grad.At(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(grad.At(1, 0), 2.0f);  // row 1 gathered twice
-  EXPECT_FLOAT_EQ(grad.At(3, 0), 1.0f);
+  const ag::RowGrad& grad = emb.row_grad();
+  EXPECT_EQ(grad.Find(0), -1);  // untouched rows hold nothing
+  ASSERT_GE(grad.Find(1), 0);
+  ASSERT_GE(grad.Find(3), 0);
+  EXPECT_FLOAT_EQ(grad.slot(static_cast<size_t>(grad.Find(1)))[0],
+                  2.0f);  // row 1 gathered twice
+  EXPECT_FLOAT_EQ(grad.slot(static_cast<size_t>(grad.Find(3)))[0], 1.0f);
+  // The table itself never gets a dense gradient.
+  EXPECT_FALSE(emb.table()->has_grad());
 }
 
 TEST(EmbeddingTest, SetTableOverwritesValues) {

@@ -16,7 +16,9 @@
 #                 --items exits non-zero naming the flag)
 #   serving       serving bench smoke (pipeline-vs-engine 0-ULP parity gate)
 #   crash         crash-resume determinism gate (SIGKILL mid-training, resume,
-#                 byte-compare) at pool widths 1 and 4
+#                 byte-compare) at pool widths 1 and 4, and the star-graph
+#                 gate (a user who befriends everyone fails training fast,
+#                 naming the user)
 #   serve-golden  serve-mode golden gate (train -> checkpoint -> scripted
 #                 daemon run, byte-compared at 1x1 vs 4x4 workers/threads)
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
@@ -39,8 +41,10 @@
 #                 conservation, breaker trip + recovery) and the resilience
 #                 suite, each under both TSan and ASan
 #   asan          fault-labelled tests, tensor-pool (with the trainer golden
-#                 and determinism suites), checkpoint, grad-shard, flat
-#                 Top-H list, top-K selector and serving suites under ASan
+#                 and determinism suites), checkpoint, sparse-gradient
+#                 (grad-shard, row-grad, optimizer, embedding, graph-lint),
+#                 flat Top-H list, top-K selector and serving suites under
+#                 ASan
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
@@ -268,6 +272,40 @@ lane_crash() {
     cmp "${ref}.snap" "${crash}.snap"
   done
   echo "crash-resume gate OK"
+
+  echo "=== star-graph gate (a user who befriends everyone fails fast) ==="
+  # User 0 becomes a friend of every other user, so the social objective
+  # has no negative to draw for the edges it anchors. Training must stop
+  # within 60 s, non-zero and naming the user, instead of redrawing forever
+  # (timeout's 124 is that hang).
+  local star_dir="${crash_dir}/star"
+  mkdir -p "${star_dir}"
+  ./build/tools/groupsa_cli generate --out "${star_dir}" --preset tiny \
+    --seed 3 > /dev/null
+  local num_users v
+  num_users="$(awk -F'\t' '$1 == "num_users" { print $2 }' \
+    "${star_dir}/meta.tsv")"
+  for ((v = 1; v < num_users; ++v)); do
+    printf '0\t%d\n' "${v}"
+  done >> "${star_dir}/social.tsv"
+  set +e
+  timeout 60 ./build/tools/groupsa_cli train --data "${star_dir}" \
+    --epochs 1 --threads 1 --model "${star_dir}/model.ckpt" \
+    > /dev/null 2> "${star_dir}/err.txt"
+  local star_rc=$?
+  set -e
+  if [ "${star_rc}" -eq 0 ] || [ "${star_rc}" -eq 124 ]; then
+    echo "FAIL: star-graph training exited ${star_rc}, expected a fast" \
+      "failure" >&2
+    exit 1
+  fi
+  if ! grep -q "user 0 is a friend of every other user" \
+       "${star_dir}/err.txt"; then
+    echo "FAIL: star-graph training did not name user 0 on stderr" >&2
+    cat "${star_dir}/err.txt" >&2
+    exit 1
+  fi
+  echo "star-graph gate OK (exit ${star_rc})"
 }
 
 lane_serve_golden() {
@@ -562,11 +600,13 @@ lane_asan() {
     -R 'TrainerPoolTest|TensorPoolTest|TrainerGoldenTest|DeterminismTest'
   echo "=== asan ctest (checkpoint I/O and compact shard gradients) ==="
   # Checkpoint sections are views into one file buffer at computed offsets,
-  # and loads copy records from there straight into the live tensors; shard
-  # gradients are compact rows found through a per-row index. ASan checks
-  # both offset schemes (neither suite carries a label above).
+  # and loads copy records from there straight into the live tensors;
+  # sparse gradients (ag::RowGrad, in shard sinks and in the embedding
+  # modules the optimizers step) are slots found through an open-addressing
+  # index with wrap-around probes, growth and newest-first clears. ASan
+  # checks both offset schemes (no suite here carries a label above).
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'CheckpointTest|CheckpointCrashDeathTest|GradShardTest'
+    -R 'CheckpointTest|CheckpointCrashDeathTest|GradShardTest|RowGradTest|OptimizerTest|EmbeddingTest|GraphLintTest'
   echo "=== asan ctest (flat Top-H lists) ==="
   # TF-IDF Top-H rows are spans into one flat id array (data::IdLists),
   # read by user modeling; ASan checks the row offsets (no label above).
