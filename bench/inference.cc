@@ -26,7 +26,6 @@
 // of the same reps (the >= 3.5x gate from tests/core/int8_mode_test.cc).
 
 #include <algorithm>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,10 +40,11 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "data/tfidf.h"
+#include "pipeline/experiment.h"
 #include "tensor/backend.h"
-#include "tools/cli_common.h"
 
 using namespace groupsa;
+using pipeline::ParseBenchIntFlag;
 
 namespace {
 
@@ -59,20 +59,6 @@ struct Flags {
   std::string json;
 };
 
-// Reads `arg` into *out when it is `name=N`; false when it is another flag.
-// N must be a whole number >= 1 (tools::ParseWholeInt), or the run exits 2
-// naming the flag.
-bool ParseIntFlag(const char* arg, const char* name, int* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  if (!tools::ParseWholeInt(arg + n + 1, 1, INT_MAX, out)) {
-    std::fprintf(stderr, "%s must be an integer >= 1, got '%s'\n", name,
-                 arg + n + 1);
-    std::exit(2);
-  }
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
@@ -83,11 +69,11 @@ Flags ParseFlags(int argc, char** argv) {
       f.sweep = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
-    } else if (!ParseIntFlag(arg, "--items", &f.items) &&
-               !ParseIntFlag(arg, "--groups", &f.groups) &&
-               !ParseIntFlag(arg, "--users", &f.users) &&
-               !ParseIntFlag(arg, "--threads", &f.threads) &&
-               !ParseIntFlag(arg, "--k", &f.k)) {
+    } else if (!ParseBenchIntFlag(arg, "--items", 1, &f.items) &&
+               !ParseBenchIntFlag(arg, "--groups", 1, &f.groups) &&
+               !ParseBenchIntFlag(arg, "--users", 1, &f.users) &&
+               !ParseBenchIntFlag(arg, "--threads", 1, &f.threads) &&
+               !ParseBenchIntFlag(arg, "--k", 1, &f.k)) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::exit(2);
     }

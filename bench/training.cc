@@ -16,7 +16,6 @@
 //        Every N is a whole number >= 1; anything else exits 2.
 
 #include <algorithm>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,9 +31,10 @@
 #include "data/synthetic.h"
 #include "data/tfidf.h"
 #include "nn/checkpoint.h"
-#include "tools/cli_common.h"
+#include "pipeline/experiment.h"
 
 using namespace groupsa;
+using pipeline::ParseBenchIntFlag;
 
 namespace {
 
@@ -47,20 +47,6 @@ struct Flags {
   std::string json;
 };
 
-// Reads `arg` into *out when it is `name=N`; false when it is another flag.
-// N must be a whole number >= 1 (tools::ParseWholeInt), or the run exits 2
-// naming the flag.
-bool ParseIntFlag(const char* arg, const char* name, int* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  if (!tools::ParseWholeInt(arg + n + 1, 1, INT_MAX, out)) {
-    std::fprintf(stderr, "%s must be an integer >= 1, got '%s'\n", name,
-                 arg + n + 1);
-    std::exit(2);
-  }
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
@@ -69,10 +55,10 @@ Flags ParseFlags(int argc, char** argv) {
       f.quick = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
-    } else if (!ParseIntFlag(arg, "--users", &f.users) &&
-               !ParseIntFlag(arg, "--items", &f.items) &&
-               !ParseIntFlag(arg, "--groups", &f.groups) &&
-               !ParseIntFlag(arg, "--epochs", &f.epochs)) {
+    } else if (!ParseBenchIntFlag(arg, "--users", 1, &f.users) &&
+               !ParseBenchIntFlag(arg, "--items", 1, &f.items) &&
+               !ParseBenchIntFlag(arg, "--groups", 1, &f.groups) &&
+               !ParseBenchIntFlag(arg, "--epochs", 1, &f.epochs)) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::exit(2);
     }

@@ -122,7 +122,6 @@ class Linter {
         break;
       }
       case OpKind::kAdd:
-      case OpKind::kSub:
       case OpKind::kMul: {
         ExpectInputCount(node, i, 2, &ok);
         if (!ok) break;
@@ -142,7 +141,6 @@ class Linter {
       case OpKind::kRelu:
       case OpKind::kSigmoid:
       case OpKind::kTanh:
-      case OpKind::kLogSigmoid:
       case OpKind::kSoftmaxRows:
       case OpKind::kDropout: {
         ExpectInputCount(node, i, 1, &ok);
@@ -207,20 +205,6 @@ class Linter {
         if (!uniform) break;
         ExpectOutput(node, i,
                      by_cols ? Shape{first.rows, sum} : Shape{sum, first.cols});
-        break;
-      }
-      case OpKind::kSliceRows: {
-        ExpectInputCount(node, i, 1, &ok);
-        if (!ok) break;
-        const Shape x = ShapeOf(in[0]);
-        if (node.arg0 < 0 || node.arg1 < 0 || node.arg0 + node.arg1 > x.rows) {
-          Add(GraphIssue::Kind::kBadOperand, i,
-              NodeLabel(node, i) +
-                  StrFormat(": slice [%d, %d) out of bounds for %d rows",
-                            node.arg0, node.arg0 + node.arg1, x.rows));
-          break;
-        }
-        ExpectOutput(node, i, {node.arg1, x.cols});
         break;
       }
       case OpKind::kGatherRows: {

@@ -137,22 +137,6 @@ TensorPtr Add(Tape* tape, const TensorPtr& a, const TensorPtr& b) {
   return out;
 }
 
-TensorPtr Sub(Tape* tape, const TensorPtr& a, const TensorPtr& b) {
-  GROUPSA_CHECK(a->value().SameShape(b->value()), "Sub shape mismatch");
-  const bool needs_grad = tape != nullptr && AnyRequiresGrad({&a, &b});
-  TensorPtr out = AcquireOutput(a->rows(), a->cols(), needs_grad);
-  Matrix& value = out->mutable_value();
-  value.CopyFrom(a->value());
-  value.SubInPlace(b->value());
-  RecordNode(tape, OpKind::kSub, {a, b}, out);
-  if (!needs_grad) return out;
-  tape->Record([a, b, out]() {
-    if (a->requires_grad()) a->grad().AddInPlace(out->grad());
-    if (b->requires_grad()) b->grad().AxpyInPlace(-1.0f, out->grad());
-  });
-  return out;
-}
-
 TensorPtr Mul(Tape* tape, const TensorPtr& a, const TensorPtr& b) {
   const bool needs_grad = tape != nullptr && AnyRequiresGrad({&a, &b});
   TensorPtr out = AcquireOutput(a->rows(), a->cols(), needs_grad);
@@ -295,25 +279,6 @@ TensorPtr ConcatRows(Tape* tape, const std::vector<TensorPtr>& parts) {
   return out;
 }
 
-TensorPtr SliceRows(Tape* tape, const TensorPtr& x, int start, int count) {
-  GROUPSA_CHECK(start >= 0 && count >= 0 && start + count <= x->rows(),
-                "SliceRows range out of bounds");
-  const bool needs_grad = tape != nullptr && x->requires_grad();
-  TensorPtr out = AcquireOutput(count, x->cols(), needs_grad);
-  Matrix& value = out->mutable_value();
-  value.EnsureShape(count, x->cols());
-  for (int r = 0; r < count; ++r) value.SetRow(r, x->value().RowPtr(start + r));
-  RecordNode(tape, OpKind::kSliceRows, {x}, out, start, count);
-  if (!needs_grad) return out;
-  tape->Record([x, out, start, count]() {
-    Matrix& xg = x->grad();
-    const Matrix& g = out->grad();
-    for (int r = 0; r < count; ++r)
-      for (int c = 0; c < g.cols(); ++c) xg.At(start + r, c) += g.At(r, c);
-  });
-  return out;
-}
-
 TensorPtr GatherRows(Tape* tape, const TensorPtr& table,
                      const std::vector<int>& row_ids, RowGrad* row_grad) {
   const bool needs_grad = tape != nullptr && table->requires_grad();
@@ -412,26 +377,6 @@ TensorPtr Tanh(Tape* tape, const TensorPtr& x) {
       const float t = y.data()[i];
       xg.data()[i] += g.data()[i] * (1.0f - t * t);
     }
-  });
-  return out;
-}
-
-TensorPtr LogSigmoid(Tape* tape, const TensorPtr& x) {
-  const bool needs_grad = tape != nullptr && x->requires_grad();
-  TensorPtr out = AcquireOutput(x->rows(), x->cols(), needs_grad);
-  Matrix& value = out->mutable_value();
-  value.CopyFrom(x->value());
-  for (int i = 0; i < value.size(); ++i)
-    value.data()[i] = -Softplus(-value.data()[i]);
-  RecordNode(tape, OpKind::kLogSigmoid, {x}, out);
-  if (!needs_grad) return out;
-  tape->Record([x, out]() {
-    Matrix& xg = x->grad();
-    const Matrix& g = out->grad();
-    const Matrix& v = x->value();
-    // d/dx log sigmoid(x) = 1 - sigmoid(x) = sigmoid(-x).
-    for (int i = 0; i < g.size(); ++i)
-      xg.data()[i] += g.data()[i] * StableSigmoid(-v.data()[i]);
   });
   return out;
 }
@@ -592,10 +537,6 @@ TensorPtr SumAll(Tape* tape, const TensorPtr& x) {
     for (int i = 0; i < xg.size(); ++i) xg.data()[i] += g;
   });
   return out;
-}
-
-TensorPtr MeanAll(Tape* tape, const TensorPtr& x) {
-  return Scale(tape, SumAll(tape, x), 1.0f / static_cast<float>(x->value().size()));
 }
 
 TensorPtr BprLoss(Tape* tape, const TensorPtr& pos, const TensorPtr& negs) {

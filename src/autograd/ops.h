@@ -24,7 +24,6 @@ TensorPtr MatMul(Tape* tape, const TensorPtr& a, const TensorPtr& b,
 
 // Element-wise; equal shapes.
 TensorPtr Add(Tape* tape, const TensorPtr& a, const TensorPtr& b);
-TensorPtr Sub(Tape* tape, const TensorPtr& a, const TensorPtr& b);
 TensorPtr Mul(Tape* tape, const TensorPtr& a, const TensorPtr& b);
 
 // out = factor * a.
@@ -42,9 +41,6 @@ TensorPtr ConcatCols(Tape* tape, const std::vector<TensorPtr>& parts);
 // Vertical concatenation (equal col counts).
 TensorPtr ConcatRows(Tape* tape, const std::vector<TensorPtr>& parts);
 
-// Rows [start, start+count) of x as a new tensor.
-TensorPtr SliceRows(Tape* tape, const TensorPtr& x, int start, int count);
-
 // Embedding lookup: one output row per id in `row_ids`. If `row_grad` is
 // non-null, the backward pass adds the rows' gradients into it (row_grad.h)
 // instead of into a dense table->grad(), so sparse optimizers see only the
@@ -60,8 +56,6 @@ TensorPtr Transpose(Tape* tape, const TensorPtr& x);
 TensorPtr Relu(Tape* tape, const TensorPtr& x);
 TensorPtr Sigmoid(Tape* tape, const TensorPtr& x);
 TensorPtr Tanh(Tape* tape, const TensorPtr& x);
-// log(sigmoid(x)), computed stably.
-TensorPtr LogSigmoid(Tape* tape, const TensorPtr& x);
 
 // Row-wise softmax. If `additive_mask` is non-null it is added to the logits
 // first; -infinity entries force a weight of exactly zero (Eq. 4-5 of the
@@ -77,9 +71,8 @@ TensorPtr LayerNorm(Tape* tape, const TensorPtr& x, const TensorPtr& gain,
 TensorPtr Dropout(Tape* tape, const TensorPtr& x, float ratio, bool training,
                   Rng* rng);
 
-// Reductions to 1 x 1.
+// Reduction to 1 x 1.
 TensorPtr SumAll(Tape* tape, const TensorPtr& x);
-TensorPtr MeanAll(Tape* tape, const TensorPtr& x);
 
 // BPR pairwise ranking loss (Eq. 21 / 24 without the L2 term, which the
 // optimizer applies as weight decay): sum_i -ln sigmoid(pos - neg_i).

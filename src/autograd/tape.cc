@@ -23,20 +23,17 @@ const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kMatMul: return "MatMul";
     case OpKind::kAdd: return "Add";
-    case OpKind::kSub: return "Sub";
     case OpKind::kMul: return "Mul";
     case OpKind::kScale: return "Scale";
     case OpKind::kAddBias: return "AddBias";
     case OpKind::kBroadcastRow: return "BroadcastRow";
     case OpKind::kConcatCols: return "ConcatCols";
     case OpKind::kConcatRows: return "ConcatRows";
-    case OpKind::kSliceRows: return "SliceRows";
     case OpKind::kGatherRows: return "GatherRows";
     case OpKind::kTranspose: return "Transpose";
     case OpKind::kRelu: return "Relu";
     case OpKind::kSigmoid: return "Sigmoid";
     case OpKind::kTanh: return "Tanh";
-    case OpKind::kLogSigmoid: return "LogSigmoid";
     case OpKind::kSoftmaxRows: return "SoftmaxRows";
     case OpKind::kLayerNorm: return "LayerNorm";
     case OpKind::kDropout: return "Dropout";

@@ -11,26 +11,22 @@
 namespace groupsa::ag {
 
 // Identifies which differentiable operation produced a recorded graph node.
-// One entry per public function in autograd/ops.h; MeanAll is composed of
-// SumAll + Scale and records those, and the Dropout identity path (inference
-// or ratio 0) performs no computation and records nothing.
+// One entry per public function in autograd/ops.h; the Dropout identity
+// path (inference or ratio 0) performs no computation and records nothing.
 enum class OpKind : uint8_t {
   kMatMul,
   kAdd,
-  kSub,
   kMul,
   kScale,
   kAddBias,
   kBroadcastRow,
   kConcatCols,
   kConcatRows,
-  kSliceRows,
   kGatherRows,
   kTranspose,
   kRelu,
   kSigmoid,
   kTanh,
-  kLogSigmoid,
   kSoftmaxRows,
   kLayerNorm,
   kDropout,
@@ -49,7 +45,6 @@ const char* OpKindName(OpKind kind);
 //   kMatMul:       flag0/flag1 = transpose_a / transpose_b
 //   kScale:        (factor itself is shape-irrelevant)
 //   kBroadcastRow: arg0 = n (output row count)
-//   kSliceRows:    arg0 = start, arg1 = count
 //   kGatherRows:   arg0 = number of gathered ids, arg1 = max id (-1 if none)
 //   kSoftmaxRows:  flag0 = additive mask present
 // All other kinds use no attributes.
@@ -150,8 +145,8 @@ class Tape {
   const std::vector<OpNode>& nodes() const { return nodes_; }
 
   // Process-wide default for new tapes: true in debug builds, false in
-  // release. Tests (and the CI graph-validation gate) force it on to get
-  // validated training tapes out of a release build.
+  // release, which every CI tree is. Tests force it on to validate training
+  // tapes there (GraphLintTest.TrainerValidatesRecordedShardTapes).
   static bool GraphRecordingDefault();
   static void SetGraphRecordingDefault(bool on);
 

@@ -4,7 +4,7 @@
 
 namespace groupsa::baselines {
 
-double FitBprEpoch(const TripleLossFn& triple_loss, nn::Optimizer* optimizer,
+double FitBprEpoch(const TripleLossFn& triple_loss, nn::Adam* optimizer,
                    const data::EdgeList& train,
                    const data::NegativeSampler& sampler,
                    const BprFitOptions& options, Rng* rng) {

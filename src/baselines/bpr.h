@@ -40,7 +40,7 @@ double FitBpr(const TripleLossFn& triple_loss,
 // One shuffled epoch with a caller-owned optimizer (used by models that
 // interleave several tasks and must keep Adam state across passes). Returns
 // the average loss over the epoch.
-double FitBprEpoch(const TripleLossFn& triple_loss, nn::Optimizer* optimizer,
+double FitBprEpoch(const TripleLossFn& triple_loss, nn::Adam* optimizer,
                    const data::EdgeList& train,
                    const data::NegativeSampler& sampler,
                    const BprFitOptions& options, Rng* rng);

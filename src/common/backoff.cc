@@ -35,12 +35,4 @@ uint64_t BackoffDelayTicks(const BackoffPolicy& policy, uint64_t key,
   return delay;
 }
 
-uint64_t TotalBackoffTicks(const BackoffPolicy& policy, uint64_t key,
-                           int attempts) {
-  uint64_t total = 0;
-  for (int attempt = 0; attempt < attempts; ++attempt)
-    total += BackoffDelayTicks(policy, key, attempt);
-  return total;
-}
-
 }  // namespace groupsa

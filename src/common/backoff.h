@@ -40,11 +40,6 @@ struct BackoffPolicy {
 uint64_t BackoffDelayTicks(const BackoffPolicy& policy, uint64_t key,
                            int attempt);
 
-// Sum of BackoffDelayTicks over attempts [0, attempts): the total budget a
-// request that retried `attempts` times has spent waiting.
-uint64_t TotalBackoffTicks(const BackoffPolicy& policy, uint64_t key,
-                           int attempts);
-
 }  // namespace groupsa
 
 #endif  // GROUPSA_COMMON_BACKOFF_H_

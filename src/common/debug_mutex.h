@@ -31,8 +31,8 @@ namespace groupsa {
 // In release builds (NDEBUG, unless GROUPSA_DEBUG_MUTEX_FORCE is defined —
 // the sanitizer CI trees force it on) all of this compiles away: DebugMutex
 // is exactly a std::mutex behind inline forwarders, with no extra members —
-// static_assert'd in debug_mutex.cc and bench-parity-gated by the `locks`
-// CI lane running bench_serving against the release tree.
+// static_assert'd in debug_mutex.cc and parity-gated by the `locks` CI
+// lane running perfbench's serving workload against a release build.
 //
 // try_lock deliberately skips the order check: acquiring out of order via a
 // try lock is the standard deadlock-*avoidance* idiom (back off on failure),

@@ -40,8 +40,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-float Rng::NextFloat() { return static_cast<float>(NextDouble()); }
-
 int Rng::NextInt(int bound) {
   GROUPSA_CHECK(bound > 0, "NextInt bound must be positive");
   return static_cast<int>(NextU64() % static_cast<uint64_t>(bound));
@@ -104,8 +102,6 @@ std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   indices.resize(k);
   return indices;
 }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 Rng::State Rng::SaveState() const {
   State state;

@@ -18,7 +18,6 @@ class Rng {
 
   // Uniform in [0, 1).
   double NextDouble();
-  float NextFloat();
 
   // Uniform integer in [0, bound). `bound` must be positive.
   int NextInt(int bound);
@@ -64,10 +63,6 @@ class Rng {
   };
   State SaveState() const;
   void RestoreState(const State& state);
-
-  // Derives an independent generator; useful for giving each experiment
-  // repetition its own stream.
-  Rng Fork();
 
   // Mixes (seed, stream) into a decorrelated seed via splitmix64, so that
   // stream i of a given seed is a fixed, reproducible function of the two.

@@ -75,9 +75,6 @@ class ByteReader {
   bool ReadU64(uint64_t* v) { return Copy(v, sizeof(*v)); }
   bool ReadI64(int64_t* v) { return Copy(v, sizeof(*v)); }
   bool ReadDouble(double* v) { return Copy(v, sizeof(*v)); }
-  bool ReadFloats(float* data, size_t count) {
-    return Copy(data, count * sizeof(float));
-  }
   bool ReadString(std::string* s) {
     uint32_t n = 0;
     if (!ReadU32(&n) || n > Remaining()) return false;

@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -56,6 +58,35 @@ std::string StrTrim(const std::string& text) {
          std::isspace(static_cast<unsigned char>(text[end - 1])))
     --end;
   return text.substr(begin, end - begin);
+}
+
+namespace {
+
+// std::from_chars, unlike strtoll/strtoull, skips no blanks, reads no "" as
+// 0 and wraps no "-1" into an unsigned value; it takes no '+', so a lone
+// one ahead of a digit is stepped over here.
+template <typename T>
+bool ParseWhole(const std::string& text, T min, T max, T* out) {
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  if (end - begin > 1 && begin[0] == '+' && begin[1] != '-') ++begin;
+  T value{};
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max)
+    return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseWholeInt(const std::string& text, int min, int max, int* out) {
+  return ParseWhole(text, min, max, out);
+}
+
+bool ParseWholeInt(const std::string& text, uint64_t min, uint64_t max,
+                   uint64_t* out) {
+  return ParseWhole(text, min, max, out);
 }
 
 }  // namespace groupsa

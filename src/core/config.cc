@@ -2,20 +2,6 @@
 
 namespace groupsa::core {
 
-const char* ToString(SocialCloseness closeness) {
-  switch (closeness) {
-    case SocialCloseness::kDirectEdge:
-      return "direct-edge";
-    case SocialCloseness::kCommonNeighbors:
-      return "common-neighbors";
-    case SocialCloseness::kJaccard:
-      return "jaccard";
-    case SocialCloseness::kAdamicAdar:
-      return "adamic-adar";
-  }
-  return "?";
-}
-
 GroupSaConfig GroupSaConfig::Default() { return GroupSaConfig(); }
 
 GroupSaConfig GroupSaConfig::GroupA() {

@@ -19,8 +19,6 @@ enum class SocialCloseness {
   kAdamicAdar,       // Adamic-Adar score > threshold
 };
 
-const char* ToString(SocialCloseness closeness);
-
 // Hyper-parameters and component switches of GroupSA. Defaults follow the
 // paper's Sec. III-E (d = 32, dropout 0.1, Adam) with epoch/batch settings
 // sized for CPU-scale synthetic data. The boolean switches express the

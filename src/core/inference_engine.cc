@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <variant>
 
 #include "common/string_util.h"
@@ -87,14 +88,6 @@ Matrix ColMeans(const Matrix& m) {
   return out;
 }
 
-// Resizes without the zero-fill Matrix::Resize performs when the shape
-// already matches. Callers overwrite every element they read, so stale
-// contents are never observed; skipping the clear keeps reused workspace
-// buffers a pure capacity cache.
-void EnsureShape(Matrix* m, int rows, int cols) {
-  if (m->rows() != rows || m->cols() != cols) m->Resize(rows, cols);
-}
-
 // Applies layer-0 bias and activation to `*x` (which holds the layer-0
 // pre-activation produced by the split-weight path), then runs the remaining
 // layers exactly as nn::Mlp::Forward would, ping-ponging between the two
@@ -128,18 +121,6 @@ void SplitRows(const Matrix& w, int split, Matrix* top, Matrix* bot) {
   for (int r = 0; r < split; ++r) top->SetRow(r, w.RowPtr(r));
   for (int r = split; r < w.rows(); ++r)
     bot->SetRow(r - split, w.RowPtr(r));
-}
-
-// Copies item-table rows for a chunk into a reused buffer (GatherRows minus
-// the allocation).
-void GatherRowsInto(const Matrix& table, const int* ids, int count,
-                    Matrix* out) {
-  EnsureShape(out, count, table.cols());
-  for (int i = 0; i < count; ++i) {
-    GROUPSA_CHECK(ids[i] >= 0 && ids[i] < table.rows(),
-                  "item id out of range");
-    out->SetRow(i, table.RowPtr(ids[i]));
-  }
 }
 
 // The fused attention-logit kernels live in tensor/backends/kernels.inc and
@@ -273,11 +254,6 @@ void InferenceEngine::set_int8_config(const Int8Config& config) {
   GROUPSA_CHECK(config.rerank_k >= 1, "int8 rerank_k must be positive");
   std::unique_lock<DebugSharedMutex> lock(mu_);
   int8_config_ = config;
-}
-
-Int8Config InferenceEngine::int8_config() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return int8_config_;
 }
 
 InferenceEngine::Plan InferenceEngine::EnginePlan() const {
@@ -662,10 +638,10 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
   const int n = static_cast<int>(items.size());
   for (int begin = 0; begin < n; begin += kMaxPredictorRows) {
     const int c = std::min(kMaxPredictorRows, n - begin);
-    const int* ids = items.data() + begin;
-    GatherRowsInto(item_table, ids, c, &ws.embs);  // c x d
+    const std::span<const int> ids(items.data() + begin, c);
+    tensor::GatherRowsInto(item_table, ids, &ws.embs);  // c x d
 
-    EnsureShape(&ws.r1a, c, h);
+    ws.r1a.EnsureShape(c, h);
     for (int t = 0; t < c; ++t)
       std::memcpy(ws.r1a.RowPtr(t), prefix1.RowPtr(0), sizeof(float) * h);
     tensor::Gemm(ws.embs, /*transpose_a=*/false, sw.user_w_bot,
@@ -678,10 +654,10 @@ std::vector<double> InferenceEngine::ScoreBatchUser(
       // latent space is tied to it).
       const Matrix* latents = &ws.embs;
       if (tables.latents != nullptr) {
-        GatherRowsInto(*tables.latents, ids, c, &ws.latents);
+        tensor::GatherRowsInto(*tables.latents, ids, &ws.latents);
         latents = &ws.latents;
       }
-      EnsureShape(&ws.r2a, c, h);
+      ws.r2a.EnsureShape(c, h);
       for (int t = 0; t < c; ++t)
         std::memcpy(ws.r2a.RowPtr(t), prefix2.RowPtr(0), sizeof(float) * h);
       tensor::Gemm(*latents, /*transpose_a=*/false, sw.latent_w_bot,
@@ -721,7 +697,7 @@ std::vector<double> InferenceEngine::ScoreBatchGroup(
     // nonzero rep_i[k] (k ascending — the same terms, in the same order,
     // with the same zero-skip the Gemm kernel applies to the member half of
     // the per-item concat row).
-    EnsureShape(&ws.addends, l * d, h);
+    ws.addends.EnsureShape(l * d, h);
     ws.nz.clear();
     ws.nz_begin.assign(static_cast<size_t>(l) + 1, 0);
     for (int i = 0; i < l; ++i) {
@@ -752,8 +728,8 @@ std::vector<double> InferenceEngine::ScoreBatchGroup(
   int cont_rows = -1;
   for (int begin = 0; begin < n; begin += max_items) {
     const int c = std::min(max_items, n - begin);
-    const int* ids = items.data() + begin;
-    GatherRowsInto(item_table, ids, c, &ws.embs);  // c x d
+    const std::span<const int> ids(items.data() + begin, c);
+    tensor::GatherRowsInto(item_table, ids, &ws.embs);  // c x d
 
     // Eq. 8-10: attention logits for every (item, member) pair, one softmax
     // row per item. The per-item path feeds row [emb_t^V (+) x_{t,i}^U]
@@ -763,23 +739,22 @@ std::vector<double> InferenceEngine::ScoreBatchGroup(
     // continue with the member-side terms k ascending, then bias, ReLU and
     // the zero-skipping j-ascending logit dot, with biases applied only
     // after each full accumulation as in nn::Linear.
-    EnsureShape(&ws.weights, c, l);
+    ws.weights.EnsureShape(c, l);
     if (fused) {
-      tensor::ActiveBackend().attention_logits(attn_prefix, ids, c, l, h,
-                                               ws.addends, ws.nz, ws.nz_begin,
-                                               hb, wout, has_ob, out_b,
-                                               &ws.weights);
+      tensor::ActiveBackend().attention_logits(
+          attn_prefix, ids.data(), c, l, h, ws.addends, ws.nz, ws.nz_begin,
+          hb, wout, has_ob, out_b, &ws.weights);
     } else {
       // Buffered fallback for wide attention layers: seed rows with the item
       // prefix, continue via Gemm(accumulate) over the tiled member reps.
-      EnsureShape(&ws.hidden, c * l, h);
+      ws.hidden.EnsureShape(c * l, h);
       for (int t = 0; t < c; ++t) {
         const float* p = attn_prefix.RowPtr(ids[t]);
         for (int i = 0; i < l; ++i)
           std::memcpy(ws.hidden.RowPtr(t * l + i), p, sizeof(float) * h);
       }
       if (cont_rows != c * l) {
-        EnsureShape(&ws.cont, c * l, d);
+        ws.cont.EnsureShape(c * l, d);
         for (int t = 0; t < c; ++t)
           for (int i = 0; i < l; ++i)
             ws.cont.SetRow(t * l + i, reps.RowPtr(i));
@@ -930,7 +905,7 @@ std::vector<double> InferenceEngine::ScanVoting(
   // Group representation at the reference item, attention softmax frozen
   // there: one [ref_item (+) rep_i] row per member through score_hidden /
   // ReLU / score_out, softmax over members, pool, project.
-  EnsureShape(&ws.cont, l, 2 * d);
+  ws.cont.EnsureShape(l, 2 * d);
   for (int i = 0; i < l; ++i) {
     std::memcpy(ws.cont.RowPtr(i), qs.ref_item.RowPtr(0),
                 sizeof(float) * static_cast<size_t>(d));
@@ -949,7 +924,7 @@ std::vector<double> InferenceEngine::ScanVoting(
                &ws.logits);  // l x 1
   if (pool.score_out().bias() != nullptr)
     tensor::AddRowBroadcastInPlace(&ws.logits, pool.score_out().bias()->value());
-  EnsureShape(&ws.weights, 1, l);  // the l x 1 column, relaid out as a row
+  ws.weights.EnsureShape(1, l);  // the l x 1 column, relaid out as a row
   std::memcpy(ws.weights.data(), ws.logits.data(),
               sizeof(float) * static_cast<size_t>(l));
   tensor::SoftmaxRowsInPlace(&ws.weights);

@@ -171,7 +171,6 @@ class InferenceEngine {
   void set_score_mode(ScoreMode mode);
   ScoreMode score_mode() const;
   void set_int8_config(const Int8Config& config);
-  Int8Config int8_config() const;
 
   // Quantized item-side tables plus the reference rows the linearization is
   // taken at; cached per parameter version exactly like the IVF state. Call

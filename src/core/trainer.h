@@ -130,7 +130,6 @@ class Trainer {
   // is heap-allocated as before; training results are bit-identical either
   // way, which the parity test asserts.
   void set_tensor_pooling(bool on) { pooling_enabled_ = on; }
-  bool tensor_pooling() const { return pooling_enabled_; }
 
   // Aggregate tensor-pool counters across all lane contexts; all monotone.
   // The steady-state allocation test asserts the created/bytes counters

@@ -14,16 +14,6 @@ double NdcgAtK(int rank, int k) {
   return 1.0 / std::log2(static_cast<double>(rank) + 2.0);
 }
 
-double MrrAtK(int rank, int k) {
-  if (rank >= k) return 0.0;
-  return 1.0 / (static_cast<double>(rank) + 1.0);
-}
-
-double PrecisionAtK(int rank, int k) {
-  if (rank >= k) return 0.0;
-  return 1.0 / static_cast<double>(k);
-}
-
 int RankOfPositive(double positive_score,
                    const std::vector<double>& candidate_scores) {
   int rank = 0;
@@ -49,22 +39,6 @@ double EvalResult::Ndcg(int k) const {
   return 0.0;
 }
 
-double EvalResult::Mrr(int k) const {
-  for (const MetricsAtK& m : at_k) {
-    if (m.k == k) return m.mrr;
-  }
-  GROUPSA_CHECK(false, "Mrr: cutoff not evaluated");
-  return 0.0;
-}
-
-double EvalResult::Precision(int k) const {
-  for (const MetricsAtK& m : at_k) {
-    if (m.k == k) return m.precision;
-  }
-  GROUPSA_CHECK(false, "Precision: cutoff not evaluated");
-  return 0.0;
-}
-
 std::string EvalResult::ToString() const {
   std::string out = StrFormat("n=%d", num_cases);
   for (const MetricsAtK& m : at_k) {
@@ -84,19 +58,13 @@ EvalResult AggregateRanks(const std::vector<int>& ranks,
     if (!ranks.empty()) {
       double hr = 0.0;
       double ndcg = 0.0;
-      double mrr = 0.0;
-      double precision = 0.0;
       for (int rank : ranks) {
         hr += HitRatioAtK(rank, k);
         ndcg += NdcgAtK(rank, k);
-        mrr += MrrAtK(rank, k);
-        precision += PrecisionAtK(rank, k);
       }
       const double n = static_cast<double>(ranks.size());
       m.hit_ratio = hr / n;
       m.ndcg = ndcg / n;
-      m.mrr = mrr / n;
-      m.precision = precision / n;
     }
     result.at_k.push_back(m);
   }

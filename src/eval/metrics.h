@@ -17,13 +17,6 @@ double HitRatioAtK(int rank, int k);
 // (the single-positive case makes the ideal DCG 1).
 double NdcgAtK(int rank, int k);
 
-// Reciprocal rank truncated at K: 1/(rank + 1) when rank < k, else 0.
-double MrrAtK(int rank, int k);
-
-// Precision with a single relevant item: 1/k when the positive is in the
-// top K, else 0.
-double PrecisionAtK(int rank, int k);
-
 // Computes the 0-based rank of `positive_score` within `candidate_scores`
 // (the positive itself is not in the list). Ties are counted against the
 // positive (pessimistic), which avoids inflated metrics from degenerate
@@ -36,8 +29,6 @@ struct MetricsAtK {
   int k = 0;
   double hit_ratio = 0.0;
   double ndcg = 0.0;
-  double mrr = 0.0;
-  double precision = 0.0;
 };
 
 struct EvalResult {
@@ -46,8 +37,6 @@ struct EvalResult {
 
   double HitRatio(int k) const;
   double Ndcg(int k) const;
-  double Mrr(int k) const;
-  double Precision(int k) const;
   std::string ToString() const;
 };
 

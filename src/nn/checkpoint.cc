@@ -552,13 +552,6 @@ void ApplyParameters(const std::vector<ParamEntry>& params,
   GROUPSA_CHECK(s.ok(), s.message().c_str());
 }
 
-Status DecodeParameters(const std::vector<ParamEntry>& params,
-                        std::string_view payload) {
-  GROUPSA_RETURN_IF_ERROR(CheckParameters(params, payload));
-  ApplyParameters(params, payload);
-  return Status::Ok();
-}
-
 Status SaveParameters(const std::vector<ParamEntry>& params,
                       const std::string& path) {
   CheckpointWriter writer;

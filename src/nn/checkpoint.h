@@ -147,14 +147,10 @@ std::string EncodeParameters(const std::vector<ParamEntry>& params);
 // record's data into its tensor's own storage through mutable_value(), so
 // data pointers stay put and value versions move; called on a payload
 // CheckParameters passed, it cannot fail (on any other it CHECK-fails).
-// DecodeParameters does both: on any error the live model is left
-// bit-for-bit untouched.
 Status CheckParameters(const std::vector<ParamEntry>& params,
                        std::string_view payload);
 void ApplyParameters(const std::vector<ParamEntry>& params,
                      std::string_view payload);
-Status DecodeParameters(const std::vector<ParamEntry>& params,
-                        std::string_view payload);
 
 // Whole-model convenience wrappers over a v2 file's "params" section.
 // LoadParameters runs every check above before it copies anything, so on

@@ -8,58 +8,19 @@
 
 namespace groupsa::nn {
 
-Optimizer::Optimizer(std::vector<ParamEntry> params, float learning_rate,
-                     float weight_decay)
-    : params_(std::move(params)),
-      learning_rate_(learning_rate),
-      weight_decay_(weight_decay) {}
+namespace {
 
-Sgd::Sgd(std::vector<ParamEntry> params, float learning_rate,
-         float weight_decay, float momentum)
-    : Optimizer(std::move(params), learning_rate, weight_decay),
-      momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const ParamEntry& p : params_)
-      velocity_.emplace_back(p.tensor->rows(), p.tensor->cols());
-  }
-}
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
 
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ParamEntry& p = params_[i];
-    tensor::Matrix& value = p.tensor->mutable_value();
-    auto update_row = [&](int r, const float* g) {
-      float* v = value.RowPtr(r);
-      float* vel = momentum_ != 0.0f ? velocity_[i].RowPtr(r) : nullptr;
-      for (int c = 0; c < value.cols(); ++c) {
-        float gc = g[c] + weight_decay_ * v[c];
-        if (vel != nullptr) {
-          vel[c] = momentum_ * vel[c] + gc;
-          gc = vel[c];
-        }
-        v[c] -= learning_rate_ * gc;
-      }
-    };
-    if (p.row_grad != nullptr) {
-      for (size_t k = 0; k < p.row_grad->num_rows(); ++k)
-        update_row(p.row_grad->rows()[k], p.row_grad->slot(k));
-      p.row_grad->Clear();
-      continue;
-    }
-    tensor::Matrix& grad = p.tensor->grad();
-    if (grad.MaxAbs() == 0.0f) continue;  // see header: lazy decay
-    for (int r = 0; r < value.rows(); ++r) update_row(r, grad.RowPtr(r));
-    grad.SetZero();
-  }
-}
+}  // namespace
 
 Adam::Adam(std::vector<ParamEntry> params, float learning_rate,
-           float weight_decay, float beta1, float beta2, float epsilon)
-    : Optimizer(std::move(params), learning_rate, weight_decay),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {
+           float weight_decay)
+    : params_(std::move(params)),
+      learning_rate_(learning_rate),
+      weight_decay_(weight_decay) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   step_.assign(params_.size(), 0);
@@ -77,18 +38,18 @@ void Adam::Step() {
     ParamEntry& p = params_[i];
     tensor::Matrix& value = p.tensor->mutable_value();
     auto update_row = [&](int r, const float* g, int64_t t) {
-      const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t));
-      const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t));
+      const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t));
+      const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t));
       float* val = value.RowPtr(r);
       float* mr = m_[i].RowPtr(r);
       float* vr = v_[i].RowPtr(r);
       for (int c = 0; c < value.cols(); ++c) {
         const float gc = g[c] + weight_decay_ * val[c];
-        mr[c] = beta1_ * mr[c] + (1.0f - beta1_) * gc;
-        vr[c] = beta2_ * vr[c] + (1.0f - beta2_) * gc * gc;
+        mr[c] = kBeta1 * mr[c] + (1.0f - kBeta1) * gc;
+        vr[c] = kBeta2 * vr[c] + (1.0f - kBeta2) * gc * gc;
         const float m_hat = mr[c] / bc1;
         const float v_hat = vr[c] / bc2;
-        val[c] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+        val[c] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + kEpsilon);
       }
     };
     if (p.row_grad != nullptr) {

@@ -1,6 +1,9 @@
 #include "pipeline/experiment.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -260,28 +263,43 @@ void PrintGroupTable(const std::string& title,
   std::fflush(stdout);
 }
 
+bool ParseBenchIntFlag(const char* arg, const char* name, int min,
+                       int* out) {
+  const size_t n = std::strlen(name);
+  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
+  if (!ParseWholeInt(arg + n + 1, min, INT_MAX, out)) {
+    std::fprintf(stderr, "%s must be an integer >= %d, got '%s'\n", name, min,
+                 arg + n + 1);
+    std::exit(2);
+  }
+  return true;
+}
+
 RunOptions ParseBenchArgs(int argc, char** argv, RunOptions defaults) {
   RunOptions options = defaults;
+  int epochs = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--quick") == 0) {
       options = options.Quick();
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      options.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--candidates=", 13) == 0) {
-      options.num_candidates = std::atoi(arg + 13);
-    } else if (std::strncmp(arg, "--epochs=", 9) == 0) {
-      const int e = std::atoi(arg + 9);
-      options.user_epochs = e;
-      options.group_epochs = e;
-      options.baseline_epochs = e;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      options.threads = std::atoi(arg + 10);
-    } else {
+      if (!ParseWholeInt(arg + 7, uint64_t{0}, UINT64_MAX, &options.seed)) {
+        std::fprintf(stderr, "--seed must be an integer >= 0, got '%s'\n",
+                     arg + 7);
+        std::exit(2);
+      }
+    } else if (ParseBenchIntFlag(arg, "--epochs", 1, &epochs)) {
+      options.user_epochs = epochs;
+      options.group_epochs = epochs;
+      options.baseline_epochs = epochs;
+    } else if (!ParseBenchIntFlag(arg, "--candidates", 1,
+                                  &options.num_candidates) &&
+               !ParseBenchIntFlag(arg, "--threads", 0, &options.threads)) {
       std::fprintf(stderr,
                    "unknown flag %s (supported: --quick --seed=N "
                    "--candidates=N --epochs=N --threads=N)\n",
                    arg);
+      std::exit(2);
     }
   }
   if (options.threads > 0) parallel::SetGlobalThreads(options.threads);

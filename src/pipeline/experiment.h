@@ -127,7 +127,14 @@ void PrintGroupTable(const std::string& title,
                      const std::vector<ModelScores>& rows,
                      const RunOptions& options);
 
-// Parses the common bench flags: --quick, --seed=N, --candidates=N.
+// Reads `arg` into *out when it is `name=N` (`name` with its dashes);
+// false when it is another flag. N must be a whole number >= min
+// (ParseWholeInt), or the process exits 2 naming the flag.
+bool ParseBenchIntFlag(const char* arg, const char* name, int min, int* out);
+
+// Parses the common bench flags: --quick, --seed=N, --candidates=N,
+// --epochs=N (every stage) and --threads=N (0 keeps the current pool). A
+// malformed value or an unknown flag exits 2.
 RunOptions ParseBenchArgs(int argc, char** argv, RunOptions defaults);
 
 }  // namespace groupsa::pipeline

@@ -97,6 +97,7 @@ Status Server::Start() {
   {
     std::lock_guard<DebugMutex> lock(supervisor_mu_);
     supervisor_stop_ = false;
+    supervisor_running_ = config_.supervise;
     pending_reload_.active = false;
   }
   slots_.clear();
@@ -132,11 +133,15 @@ void Server::Stop() {
     stopping_ = true;
   }
   {
-    std::lock_guard<DebugMutex> lock(supervisor_mu_);
+    std::unique_lock<DebugMutex> lock(supervisor_mu_);
     supervisor_stop_ = true;
     pending_reload_.active = false;
+    supervisor_cv_.notify_all();
+    // A rescue posts the slot's replacement loop through pool_, which
+    // pool_.reset() below nulls before the pool joins: let the supervisor
+    // return first.
+    supervisor_cv_.wait(lock, [this] { return !supervisor_running_; });
   }
-  supervisor_cv_.notify_all();
   CloseQueue();
   // Worker loops drain the queue and return (hung owners were released by
   // CloseQueue and self-serve their held job); the pool destructor joins
@@ -527,7 +532,11 @@ void Server::SupervisorLoop() {
     {
       std::unique_lock<DebugMutex> lock(supervisor_mu_);
       supervisor_cv_.wait_for(lock, poll);
-      if (supervisor_stop_) return;
+      if (supervisor_stop_) {
+        supervisor_running_ = false;
+        supervisor_cv_.notify_all();
+        return;
+      }
     }
     SuperviseOnce();
   }

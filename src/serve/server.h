@@ -446,6 +446,8 @@ class Server {
   mutable DebugMutex supervisor_mu_{"serve.supervisor"};
   DebugCondVar supervisor_cv_;
   bool supervisor_stop_ GROUPSA_GUARDED_BY(supervisor_mu_) = false;
+  // Set by Start when it posts the supervisor, cleared as the loop returns.
+  bool supervisor_running_ GROUPSA_GUARDED_BY(supervisor_mu_) = false;
   struct PendingReload {
     bool active = false;
     std::string path;

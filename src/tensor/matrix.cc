@@ -21,12 +21,6 @@ Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
   return m;
 }
 
-Matrix Matrix::RowVector(const std::vector<float>& values) {
-  Matrix m(1, static_cast<int>(values.size()));
-  if (!values.empty()) m.SetRow(0, values.data());
-  return m;
-}
-
 void Matrix::Resize(int rows, int cols) {
   GROUPSA_CHECK(rows >= 0 && cols >= 0, "Matrix dims must be non-negative");
   rows_ = rows;
@@ -47,11 +41,6 @@ void Matrix::Fill(float value) {
 void Matrix::AddInPlace(const Matrix& other) {
   GROUPSA_CHECK(SameShape(other), "AddInPlace shape mismatch");
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-}
-
-void Matrix::SubInPlace(const Matrix& other) {
-  GROUPSA_CHECK(SameShape(other), "SubInPlace shape mismatch");
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
 }
 
 void Matrix::ScaleInPlace(float factor) {

@@ -39,8 +39,6 @@ class Matrix {
   }
   // Builds from nested initializer data; all rows must have equal length.
   static Matrix FromRows(const std::vector<std::vector<float>>& rows);
-  // 1 x n row vector from values.
-  static Matrix RowVector(const std::vector<float>& values);
 
   Matrix(const Matrix&) = default;
   Matrix& operator=(const Matrix&) = default;
@@ -89,7 +87,6 @@ class Matrix {
 
   // Element-wise in-place helpers.
   void AddInPlace(const Matrix& other);
-  void SubInPlace(const Matrix& other);
   void ScaleInPlace(float factor);
   // this += factor * other.
   void AxpyInPlace(float factor, const Matrix& other);

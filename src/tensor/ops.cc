@@ -72,12 +72,6 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
   });
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  Gemm(a, /*transpose_a=*/false, b, /*transpose_b=*/false, 1.0f, &out);
-  return out;
-}
-
 void TransposeInto(const Matrix& a, Matrix* out) {
   out->EnsureShape(a.cols(), a.rows());
   auto rows = [&](int64_t begin, int64_t end) {
@@ -117,12 +111,6 @@ void HadamardInto(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  HadamardInto(a, b, &out);
-  return out;
-}
-
 void AddRowBroadcastInPlace(Matrix* a, const Matrix& bias) {
   GROUPSA_CHECK(bias.rows() == 1 && bias.cols() == a->cols(),
                 "AddRowBroadcast bias must be 1 x cols");
@@ -151,12 +139,6 @@ void SumRowsInto(const Matrix& a, Matrix* out) {
   }
 }
 
-Matrix SumRows(const Matrix& a) {
-  Matrix out;
-  SumRowsInto(a, &out);
-  return out;
-}
-
 void SoftmaxRowsInPlace(Matrix* a) {
   constexpr float kNegInf = -std::numeric_limits<float>::infinity();
   for (int r = 0; r < a->rows(); ++r) {
@@ -176,35 +158,6 @@ void SoftmaxRowsInPlace(Matrix* a) {
   }
 }
 
-Matrix LogSumExpRows(const Matrix& a) {
-  Matrix out(a.rows(), 1);
-  for (int r = 0; r < a.rows(); ++r) {
-    const float* row = a.RowPtr(r);
-    float max_v = row[0];
-    for (int c = 1; c < a.cols(); ++c) max_v = std::max(max_v, row[c]);
-    double total = 0.0;
-    for (int c = 0; c < a.cols(); ++c) total += std::exp(row[c] - max_v);
-    out.At(r, 0) = max_v + static_cast<float>(std::log(total));
-  }
-  return out;
-}
-
-float Dot(const Matrix& a, const Matrix& b) {
-  GROUPSA_CHECK(a.size() == b.size(), "Dot size mismatch");
-  double total = 0.0;
-  for (int i = 0; i < a.size(); ++i)
-    total += static_cast<double>(a.data()[i]) * b.data()[i];
-  return static_cast<float>(total);
-}
-
-float Dot(RowView a, RowView b) {
-  GROUPSA_CHECK(a.cols == b.cols, "Dot size mismatch");
-  double total = 0.0;
-  for (int i = 0; i < a.cols; ++i)
-    total += static_cast<double>(a.data[i]) * b.data[i];
-  return static_cast<float>(total);
-}
-
 void ConcatColsInto(const std::vector<const Matrix*>& parts, Matrix* out) {
   GROUPSA_CHECK(!parts.empty(), "ConcatCols requires input");
   const int rows = parts[0]->rows();
@@ -221,12 +174,6 @@ void ConcatColsInto(const std::vector<const Matrix*>& parts, Matrix* out) {
       offset += p->cols();
     }
   }
-}
-
-Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
-  Matrix out;
-  ConcatColsInto(parts, &out);
-  return out;
 }
 
 void ConcatRowsInto(const std::vector<const Matrix*>& parts, Matrix* out) {
@@ -251,7 +198,7 @@ Matrix ConcatRows(const std::vector<const Matrix*>& parts) {
   return out;
 }
 
-void GatherRowsInto(const Matrix& table, const std::vector<int>& row_ids,
+void GatherRowsInto(const Matrix& table, std::span<const int> row_ids,
                     Matrix* out) {
   out->EnsureShape(static_cast<int>(row_ids.size()), table.cols());
   for (size_t i = 0; i < row_ids.size(); ++i) {
@@ -259,12 +206,6 @@ void GatherRowsInto(const Matrix& table, const std::vector<int>& row_ids,
     GROUPSA_CHECK(id >= 0 && id < table.rows(), "GatherRows id out of range");
     out->SetRow(static_cast<int>(i), table.RowPtr(id));
   }
-}
-
-Matrix GatherRows(const Matrix& table, const std::vector<int>& row_ids) {
-  Matrix out;
-  GatherRowsInto(table, row_ids, &out);
-  return out;
 }
 
 }  // namespace groupsa::tensor

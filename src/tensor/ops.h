@@ -1,6 +1,7 @@
 #ifndef GROUPSA_TENSOR_OPS_H_
 #define GROUPSA_TENSOR_OPS_H_
 
+#include <span>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -26,34 +27,31 @@ void GemmSerial(const Matrix& a, bool transpose_a, const Matrix& b,
                 bool transpose_b, float alpha, Matrix* out,
                 bool accumulate = false);
 
-// Convenience: returns a * b.
-Matrix MatMul(const Matrix& a, const Matrix& b);
-
 // Returns the transpose of `a`.
 Matrix Transpose(const Matrix& a);
 
-// Element-wise product.
-Matrix Hadamard(const Matrix& a, const Matrix& b);
+// Concatenates matrices top-to-bottom (equal col counts).
+Matrix ConcatRows(const std::vector<const Matrix*>& parts);
 
 // Adds row vector `bias` (1 x cols) to every row of `a` in place.
 void AddRowBroadcastInPlace(Matrix* a, const Matrix& bias);
 
-// Sums the rows of `a` into a 1 x cols vector.
-Matrix SumRows(const Matrix& a);
-
-// Destination variants of the value-returning kernels above, for callers
-// that recycle output storage (the training tensor pool, autograd/pool.h).
-// Each runs the exact loop of its value-returning twin — the twins are
-// implemented on top of these — so results are bit-identical; `out` is
-// reshaped without reallocation when its capacity suffices and fully
-// overwritten (SumRowsInto zeroes it first, as its accumulation requires).
-// `out` must not alias an input.
+// Destination kernels, for callers that recycle output storage (the
+// tensor pool, autograd/pool.h, and the engine's workspaces); Transpose and
+// ConcatRows above run on their Into forms, so both give the same bits.
+// `out` is reshaped without reallocation when its capacity suffices and
+// fully overwritten (SumRowsInto zeroes it first, as its accumulation
+// requires). `out` must not alias an input.
 void TransposeInto(const Matrix& a, Matrix* out);
+// Element-wise product.
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix* out);
+// Sums the rows of `a` into a 1 x cols vector.
 void SumRowsInto(const Matrix& a, Matrix* out);
+// Concatenates matrices left-to-right (equal row counts).
 void ConcatColsInto(const std::vector<const Matrix*>& parts, Matrix* out);
 void ConcatRowsInto(const std::vector<const Matrix*>& parts, Matrix* out);
-void GatherRowsInto(const Matrix& table, const std::vector<int>& row_ids,
+// Gathers rows of `table`, one output row per id (CHECKed in range).
+void GatherRowsInto(const Matrix& table, std::span<const int> row_ids,
                     Matrix* out);
 
 // Numerically stable in-place softmax over each row. Entries equal to
@@ -61,22 +59,6 @@ void GatherRowsInto(const Matrix& table, const std::vector<int>& row_ids,
 // masked except for at most self entries must contain at least one finite
 // entry; this is CHECKed.
 void SoftmaxRowsInPlace(Matrix* a);
-
-// Stable log(sum(exp(row))) per row; returns rows x 1.
-Matrix LogSumExpRows(const Matrix& a);
-
-// Dot product of two equal-shape matrices viewed as flat vectors.
-float Dot(const Matrix& a, const Matrix& b);
-float Dot(RowView a, RowView b);
-
-// Concatenates matrices left-to-right (equal row counts).
-Matrix ConcatCols(const std::vector<const Matrix*>& parts);
-
-// Concatenates matrices top-to-bottom (equal col counts).
-Matrix ConcatRows(const std::vector<const Matrix*>& parts);
-
-// Gathers the given rows of `table` into a new matrix (one output row per id).
-Matrix GatherRows(const Matrix& table, const std::vector<int>& row_ids);
 
 }  // namespace groupsa::tensor
 

@@ -2,6 +2,9 @@
 // the same assembled graph (attention + layer norm + BPR) must pass the
 // finite-difference check for every seed.
 
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
@@ -47,11 +50,12 @@ TEST_P(CompositeGradTest, AttentionBprNetworkPassesGradCheck) {
     TensorPtr att = SoftmaxRows(tape, logits);
     TensorPtr z = MatMul(tape, att, MatMul(tape, x, wv));
     TensorPtr normed = LayerNorm(tape, Add(tape, x, z), gain, bias);
-    // Item-guided pooling scores -> BPR between the first two "candidates".
+    // Item-guided pooling scores -> BPR of row 0's score against the rest.
     TensorPtr scores = MatMul(tape, normed, item, false, true);  // l x 1
-    TensorPtr pos = SliceRows(tape, scores, 0, 1);
-    TensorPtr negs = SliceRows(tape, scores, 1, scores->rows() - 1);
-    return BprLoss(tape, pos, negs);
+    std::vector<int> rest(static_cast<size_t>(l - 1));
+    std::iota(rest.begin(), rest.end(), 1);
+    return BprLoss(tape, GatherRows(tape, scores, {0}),
+                   GatherRows(tape, scores, rest));
   };
 
   auto result = CheckGradients(build, {x, wq, wv, gain, bias, item},

@@ -106,20 +106,5 @@ TEST(BackoffTest, DifferentSeedsReshuffleTheJitter) {
   EXPECT_TRUE(any_different);
 }
 
-TEST(BackoffTest, TotalIsTheSumOfPerAttemptDelays) {
-  BackoffPolicy p;
-  p.base_ticks = 2;
-  p.max_ticks = 32;
-  p.jitter = 0.5;
-  for (uint64_t key = 0; key < 10; ++key) {
-    uint64_t sum = 0;
-    for (int attempt = 0; attempt < 6; ++attempt) {
-      sum += BackoffDelayTicks(p, key, attempt);
-      EXPECT_EQ(TotalBackoffTicks(p, key, attempt + 1), sum) << key;
-    }
-  }
-  EXPECT_EQ(TotalBackoffTicks(p, 3, 0), 0u);
-}
-
 }  // namespace
 }  // namespace groupsa

@@ -1,5 +1,8 @@
 #include "common/string_util.h"
 
+#include <climits>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace groupsa {
@@ -63,6 +66,45 @@ TEST(StrTrimTest, AllWhitespace) { EXPECT_EQ(StrTrim(" \t "), ""); }
 
 TEST(StrTrimTest, InternalWhitespacePreserved) {
   EXPECT_EQ(StrTrim(" a b "), "a b");
+}
+
+TEST(ParseWholeIntTest, ReadsSignedWholeNumbersInRange) {
+  int value = 0;
+  EXPECT_TRUE(ParseWholeInt("42", 0, 100, &value));
+  EXPECT_EQ(value, 42);
+  EXPECT_TRUE(ParseWholeInt("-7", INT_MIN, INT_MAX, &value));
+  EXPECT_EQ(value, -7);
+  EXPECT_TRUE(ParseWholeInt("+3", 1, 3, &value));
+  EXPECT_EQ(value, 3);
+  EXPECT_TRUE(ParseWholeInt("2147483647", INT_MIN, INT_MAX, &value));
+  EXPECT_EQ(value, INT_MAX);
+}
+
+TEST(ParseWholeIntTest, RejectsMalformedTextAndLeavesTheOutputAlone) {
+  int value = 9;
+  for (const char* text : {"", " 3", "3 ", "3x", "two", "1.5", "-", "+",
+                           "+-5", "0x10", "4294967297", "2147483648"}) {
+    EXPECT_FALSE(ParseWholeInt(text, INT_MIN, INT_MAX, &value)) << text;
+  }
+  EXPECT_FALSE(ParseWholeInt("0", 1, INT_MAX, &value));
+  EXPECT_FALSE(ParseWholeInt("6", 1, 5, &value));
+  EXPECT_EQ(value, 9);
+}
+
+TEST(ParseWholeIntTest, UnsignedFormCoversUint64AndRejectsNegatives) {
+  uint64_t value = 5;
+  EXPECT_TRUE(ParseWholeInt("18446744073709551615", uint64_t{0}, UINT64_MAX,
+                            &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  // strtoull would read these as 2^64 - 1 and 0.
+  EXPECT_FALSE(ParseWholeInt("-1", uint64_t{0}, UINT64_MAX, &value));
+  EXPECT_FALSE(ParseWholeInt("-0", uint64_t{0}, UINT64_MAX, &value));
+  EXPECT_FALSE(ParseWholeInt("18446744073709551616", uint64_t{0}, UINT64_MAX,
+                             &value));
+  EXPECT_FALSE(ParseWholeInt("12x", uint64_t{0}, UINT64_MAX, &value));
+  EXPECT_FALSE(ParseWholeInt("9223372036854775808", uint64_t{0},
+                             uint64_t{INT64_MAX}, &value));
+  EXPECT_EQ(value, UINT64_MAX);
 }
 
 }  // namespace

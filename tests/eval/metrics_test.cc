@@ -69,32 +69,5 @@ TEST(MetricsTest, ToStringContainsMetrics) {
   EXPECT_NE(s.find("NDCG@10"), std::string::npos);
 }
 
-TEST(MetricsTest, MrrBasics) {
-  EXPECT_DOUBLE_EQ(MrrAtK(0, 10), 1.0);
-  EXPECT_DOUBLE_EQ(MrrAtK(1, 10), 0.5);
-  EXPECT_DOUBLE_EQ(MrrAtK(4, 10), 0.2);
-  EXPECT_DOUBLE_EQ(MrrAtK(10, 10), 0.0);
-}
-
-TEST(MetricsTest, PrecisionBasics) {
-  EXPECT_DOUBLE_EQ(PrecisionAtK(0, 5), 0.2);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(4, 5), 0.2);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(5, 5), 0.0);
-}
-
-TEST(MetricsTest, MrrNeverExceedsHitRatio) {
-  for (int rank = 0; rank < 15; ++rank) {
-    for (int k : {1, 5, 10}) {
-      EXPECT_LE(MrrAtK(rank, k), HitRatioAtK(rank, k));
-    }
-  }
-}
-
-TEST(MetricsTest, AggregateIncludesMrrAndPrecision) {
-  const EvalResult r = AggregateRanks({0, 9}, {10});
-  EXPECT_DOUBLE_EQ(r.Mrr(10), (1.0 + 0.1) / 2.0);
-  EXPECT_DOUBLE_EQ(r.Precision(10), 0.1);
-}
-
 }  // namespace
 }  // namespace groupsa::eval

@@ -86,7 +86,6 @@ void ExpectIdentical(const RunOutcome& a, const RunOutcome& b) {
     EXPECT_EQ(ma.k, mb.k);
     EXPECT_EQ(ma.hit_ratio, mb.hit_ratio) << "HR@" << ma.k;
     EXPECT_EQ(ma.ndcg, mb.ndcg) << "NDCG@" << ma.k;
-    EXPECT_EQ(ma.mrr, mb.mrr) << "MRR@" << ma.k;
   }
 }
 

@@ -31,7 +31,7 @@ TEST(TransformerBlockTest, NearIdentityAtInit) {
   x.FillUniform(&rng, -0.1f, 0.1f);
   auto out = block.Forward(nullptr, ag::Constant(x), nullptr);
   Matrix diff = out.values->value();
-  diff.SubInPlace(x);
+  diff.AxpyInPlace(-1.0f, x);
   EXPECT_LT(diff.MaxAbs(), 0.05f);
 }
 

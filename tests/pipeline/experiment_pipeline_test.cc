@@ -76,6 +76,28 @@ TEST(PipelineTest, ParseBenchArgsDefaultsUntouched) {
   EXPECT_EQ(options.seed, 9u);
 }
 
+TEST(PipelineTest, ParseBenchArgsExitsTwoOnMalformedValues) {
+  // A value read as a prefix would run silently wrong: --epochs=two as zero
+  // epochs, --seed=x3 as seed 0.
+  const char* epochs[] = {"bench", "--quick", "--epochs=two"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(epochs), RunOptions{}),
+              ::testing::ExitedWithCode(2),
+              "--epochs must be an integer >= 1, got 'two'");
+  const char* seed[] = {"bench", "--seed=x3"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(seed), RunOptions{}),
+              ::testing::ExitedWithCode(2),
+              "--seed must be an integer >= 0, got 'x3'");
+  const char* candidates[] = {"bench", "--candidates=0"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(candidates), RunOptions{}),
+              ::testing::ExitedWithCode(2), "--candidates must be");
+}
+
+TEST(PipelineTest, ParseBenchArgsExitsTwoOnUnknownFlags) {
+  const char* argv[] = {"bench", "--epoch=1"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(argv), RunOptions{}),
+              ::testing::ExitedWithCode(2), "unknown flag --epoch=1");
+}
+
 TEST(PipelineTest, PopularityRunProducesBothTasks) {
   const RunOptions options = SmallOptions();
   const ExperimentData data =

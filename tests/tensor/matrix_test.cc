@@ -34,13 +34,6 @@ TEST(MatrixTest, FromRows) {
   EXPECT_EQ(m.At(1, 0), 4.0f);
 }
 
-TEST(MatrixTest, RowVector) {
-  Matrix v = Matrix::RowVector({7, 8});
-  EXPECT_EQ(v.rows(), 1);
-  EXPECT_EQ(v.cols(), 2);
-  EXPECT_EQ(v.At(0, 1), 8.0f);
-}
-
 TEST(MatrixTest, AtReadWrite) {
   Matrix m(2, 2);
   m.At(0, 1) = 5.0f;
@@ -70,7 +63,7 @@ TEST(MatrixTest, AddSubInPlace) {
   Matrix b = Matrix::FromRows({{3, 5}});
   a.AddInPlace(b);
   EXPECT_TRUE(AllClose(a, Matrix::FromRows({{4, 7}})));
-  a.SubInPlace(b);
+  a.AxpyInPlace(-1.0f, b);  // subtracts b again
   EXPECT_TRUE(AllClose(a, Matrix::FromRows({{1, 2}})));
 }
 

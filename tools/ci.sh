@@ -9,12 +9,16 @@
 #   locks         concurrency-contract gates: lock lint, the DebugMutex
 #                 lockdep suite under TSan, clang -Wthread-safety when clang
 #                 is installed (visible skip otherwise), and the release
-#                 zero-overhead bench gate
+#                 zero-overhead gate (the serving lane's run)
 #   tidy          clang-tidy over src/ (visible skip when not installed)
 #   bench         inference + training bench smokes (bit-parity gates)
-#                 and the bench int-flag gate (a malformed --epochs or
-#                 --items exits non-zero naming the flag)
-#   serving       serving bench smoke (pipeline-vs-engine 0-ULP parity gate)
+#                 and the bench int-flag gate (a malformed --epochs,
+#                 --items or --seed exits non-zero naming the flag, in the
+#                 timing benches and the paper-table benches alike)
+#   serving       the repo benchmark's hot_exact_2k workload, --quick,
+#                 through the serving daemon: served answers 0-ULP against
+#                 a direct engine, request conservation, answers unchanged
+#                 across a hot reload
 #   crash         crash-resume determinism gate (SIGKILL mid-training, resume,
 #                 byte-compare) at pool widths 1 and 4, and the star-graph
 #                 gate (a user who befriends everyone fails training fast,
@@ -23,7 +27,8 @@
 #                 daemon run, byte-compared at 1x1 vs 4x4 workers/threads)
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
 #                 from the last good checkpoint), the bad-numeric-flag
-#                 gate (exit 1 naming the flag, never an abort) and the
+#                 gate (exit 1 naming the flag, never an abort, a wrapped
+#                 tick budget or a silently different seed) and the
 #                 bad-script-number gate (reported, never served)
 #   index         IVF retrieval gates: nprobe=nlist exact-parity (0-ULP vs
 #                 kExact), the pinned retrieval-plan top-10 digests,
@@ -159,13 +164,12 @@ lane_locks() {
     skip_check "locks/clang -Wthread-safety" "clang++ not installed"
   fi
 
-  echo "=== locks lane (release zero-overhead gate: bench_serving --quick) ==="
+  echo "=== locks lane (release zero-overhead gate) ==="
   # Release DebugMutex must be a bare std::mutex (static_assert'd for
-  # layout); this bench run gates the behavioral half — steady QPS/p50 and
-  # the 0-ULP parity checks on the serving hot path, where every request
-  # crosses the queue, slot and breaker locks.
-  cmake --build build -j "${JOBS}" --target bench_serving
-  ./build/bench/bench_serving --quick
+  # layout); the serving lane's release run gates the behavioral half: the
+  # 0-ULP parity and conservation checks on the serving hot path, where
+  # every request crosses the queue, slot and breaker locks.
+  lane_serving
 }
 
 lane_tidy() {
@@ -183,7 +187,8 @@ lane_tidy() {
 
 lane_bench() {
   ensure_build build -DCMAKE_BUILD_TYPE=Release
-  cmake --build build -j "${JOBS}" --target bench_inference bench_training
+  cmake --build build -j "${JOBS}" --target bench_inference bench_training \
+    bench_table5_joint_training
   echo "=== inference bench smoke (0-ULP parity gate) ==="
   # --quick caps the catalog; the run still exits non-zero if the batched
   # engine's scores are not bit-identical to the per-item reference.
@@ -193,11 +198,12 @@ lane_bench() {
   # pooled training's parameters are not byte-identical to unpooled's, at
   # one and four threads.
   ./build/bench/bench_training --quick
-  echo "=== bench int flags (whole numbers >= 1, or exit non-zero) ==="
+  echo "=== bench int flags (whole numbers in range, or exit non-zero) ==="
   # Each line: the flag the error must name, then the bench binary and its
   # arguments. Read as a prefix, these values would run silently wrong:
-  # --epochs=two as 0+0 epochs with a NaN speedup in the JSON, --items=2k
-  # as a 2-item world.
+  # --epochs=two as 0+0 epochs with a NaN speedup in the JSON (or, in a
+  # paper-table bench, an untrained GroupSA row), --items=2k as a 2-item
+  # world, --seed=x3 as seed 0.
   local flag cmd rc err
   err="$(mktemp)"
   TMP_DIRS+=("${err}")
@@ -218,18 +224,30 @@ lane_bench() {
   done <<'EOF'
 epochs bench_training --epochs=two
 items bench_inference --items=2k
+epochs bench_table5_joint_training --quick --epochs=two
+seed bench_table5_joint_training --quick --seed=x3
 EOF
   echo "bench int flag gate OK"
 }
 
 lane_serving() {
-  echo "=== serving bench smoke (pipeline parity + overload paths) ==="
-  # --quick trims the request counts; the run still exits non-zero if the
-  # concurrent pipeline's responses are not bit-identical to direct
-  # InferenceEngine calls.
-  ensure_build build -DCMAKE_BUILD_TYPE=Release
-  cmake --build build -j "${JOBS}" --target bench_serving
-  ./build/bench/bench_serving --quick
+  echo "=== serving lane (perfbench hot_exact_2k --quick) ==="
+  # perfbench/run.py builds its own Release driver and runs the open-loop
+  # generator against serve::Server: every probed answer must match a
+  # direct InferenceEngine bit for bit, the request counters must conserve
+  # and answers must survive a hot reload. The driver reports a failed
+  # check as "correct": false on its last line, not in its exit status, so
+  # that line is the gate. Breaker, retry and deadline behaviour is pinned
+  # at exact ticks by the chaos lane.
+  local out
+  out="$(mktemp)"
+  TMP_DIRS+=("${out}")
+  python3 perfbench/run.py --workload hot_exact_2k --quick --trace 0 \
+    | tee "${out}"
+  if ! tail -n 1 "${out}" | grep -q '"correct": true'; then
+    echo "FAIL: perfbench hot_exact_2k failed a correctness check" >&2
+    exit 1
+  fi
 }
 
 lane_crash() {
@@ -350,7 +368,9 @@ EOF
   # Each line: the flag the error must name, then the arguments. These
   # values would otherwise reach a CHECK in the Server or CircuitBreaker
   # constructor and abort with exit 134, or run silently wrong (a training
-  # run of the wrong length, a request the daemon would reject). Arguments
+  # run of the wrong length or seed, a request the daemon would reject, a
+  # --deadline of -1 whose tick budget wraps and expires every request
+  # after the first, --breaker-open soon as 0 ticks). Arguments
   # that start with a groupsa_cli command run groupsa_cli; the rest run
   # groupsa_serve. Rows that name the same flag write the same
   # flag_err_<flag>.txt, so the check after the loop reads the last
@@ -401,6 +421,10 @@ top recommend --members 1,2 --top 0
 members recommend --members 1,abc
 members recommend --members 4294967297,2
 members recommend --members 2,0,2
+seed train --seed abc
+deadline --deadline -1
+deadline --deadline 5x
+breaker-open --breaker --breaker-open soon
 EOF
   # A repeated member breaks the daemon's request rules, and the command
   # line says so in the rule's own words.

@@ -1,5 +1,5 @@
-// Front end shared by groupsa_cli and groupsa_serve: flag parsing, one
-// whole-number check for int flags, id lists and script numbers, error exit,
+// Front end shared by groupsa_cli and groupsa_serve: flag parsing, int
+// flags and id lists read through the one whole-number check, error exit,
 // and the dataset-derived workspace every model is built from. One
 // derivation for both tools is what lets the daemon serve a checkpoint
 // exactly as its training process scored it.
@@ -7,12 +7,10 @@
 #ifndef GROUPSA_TOOLS_CLI_COMMON_H_
 #define GROUPSA_TOOLS_CLI_COMMON_H_
 
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -64,23 +62,6 @@ inline int Fail(const std::string& message) {
   return 1;
 }
 
-// Parses `text` as a whole decimal int in [min, max] into *out: an optional
-// sign, then digits to the end. Empty text, blanks, trailing characters
-// and values outside the range (or outside int) are malformed and leave
-// *out alone.
-inline bool ParseWholeInt(const std::string& text, int min, int max,
-                          int* out) {
-  // strtoll would skip leading blanks and read "" as 0.
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0)
-    return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (*end != '\0' || errno != 0 || value < min || value > max) return false;
-  *out = static_cast<int>(value);
-  return true;
-}
-
 // Parses a comma-separated id list ("1,2,3") into *out, each id through
 // ParseWholeInt; an empty token ("1,,2", "1,") is malformed. Only the
 // syntax is checked here: range and duplicate ids are core::ValidateQuery's.
@@ -95,22 +76,23 @@ inline bool ParseIdList(const std::string& text, std::vector<int32_t>* out) {
   return true;
 }
 
-// Reads integer flag `name` (`fallback` when absent) into *out. A value that
-// is not a whole decimal number in [min, max] prints an error naming the
-// flag and returns false, so a bad value stops here rather than reaching a
-// constructor CHECK or a silently wrong run.
-inline bool IntFlag(const Flags& flags, const std::string& name,
-                    const std::string& fallback, int min, int max, int* out) {
+// Reads integer flag `name` (`fallback` when absent) into *out, as an int
+// or a uint64_t. A value that is not a whole decimal number in [min, max]
+// (ParseWholeInt) prints an error naming the flag and returns false, so a
+// bad value stops here rather than reaching a constructor CHECK or a
+// silently wrong run.
+template <typename T>
+bool IntFlag(const Flags& flags, const std::string& name,
+             const std::string& fallback, T min, T max, T* out) {
   const std::string text = FlagOr(flags, name, fallback);
-  if (!ParseWholeInt(text, min, max, out)) {
-    const std::string range = max == INT_MAX
-                                  ? StrFormat(">= %d", min)
-                                  : StrFormat("in [%d, %d]", min, max);
-    Fail(StrFormat("--%s must be an integer %s, got '%s'", name.c_str(),
-                   range.c_str(), text.c_str()));
-    return false;
-  }
-  return true;
+  if (ParseWholeInt(text, min, max, out)) return true;
+  const std::string range =
+      max == std::numeric_limits<T>::max()
+          ? ">= " + std::to_string(min)
+          : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+  Fail(StrFormat("--%s must be an integer %s, got '%s'", name.c_str(),
+                 range.c_str(), text.c_str()));
+  return false;
 }
 
 // The dataset at `dir` plus everything derived from it and --seed (default
@@ -130,11 +112,12 @@ struct Workspace {
 
 inline bool LoadWorkspace(const std::string& dir, const Flags& flags,
                           Workspace* ws) {
+  if (!IntFlag(flags, "seed", "1", uint64_t{0}, UINT64_MAX, &ws->seed))
+    return false;
   if (Status s = data::LoadDataset(dir, &ws->dataset); !s.ok()) {
     Fail(s.message());
     return false;
   }
-  ws->seed = std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
   Rng rng(ws->seed);
   ws->ui = data::SplitEdges(ws->dataset.user_item, 0.2, 0.1, &rng);
   ws->gi = data::GlobalSplitEdges(ws->dataset.group_item, 0.2, 0.1, &rng);

@@ -77,7 +77,8 @@ int CmdGenerate(const Flags& flags) {
   } else {
     return Fail("unknown preset: " + preset);
   }
-  config.seed = std::strtoull(FlagOr(flags, "seed", "7").c_str(), nullptr, 10);
+  if (!IntFlag(flags, "seed", "7", uint64_t{0}, UINT64_MAX, &config.seed))
+    return 1;
   const data::SyntheticWorld world = data::GenerateWorld(config);
   if (Status s = data::SaveDataset(world.dataset, out); !s.ok())
     return Fail(s.message());

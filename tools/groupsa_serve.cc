@@ -46,7 +46,6 @@
 
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,7 +68,7 @@ using tools::IntFlag;
 namespace {
 
 // Parses "user|group <id> <k> [x]" or "members <a,b,c> <k> [x]". Every id
-// and k must be a whole decimal number (tools::ParseWholeInt); whether the
+// and k must be a whole decimal number (ParseWholeInt); whether the
 // request is valid for the model is Server::Submit's call.
 bool ParseRequestLine(const std::vector<std::string>& tokens,
                       serve::Request* request) {
@@ -77,16 +76,16 @@ bool ParseRequestLine(const std::vector<std::string>& tokens,
   bool ids_ok = false;
   if (tokens[0] == "user") {
     request->kind = serve::Request::Kind::kUser;
-    ids_ok = tools::ParseWholeInt(tokens[1], INT_MIN, INT_MAX, &request->user);
+    ids_ok = ParseWholeInt(tokens[1], INT_MIN, INT_MAX, &request->user);
   } else if (tokens[0] == "group") {
     request->kind = serve::Request::Kind::kGroup;
-    ids_ok = tools::ParseWholeInt(tokens[1], INT_MIN, INT_MAX, &request->group);
+    ids_ok = ParseWholeInt(tokens[1], INT_MIN, INT_MAX, &request->group);
   } else if (tokens[0] == "members") {
     request->kind = serve::Request::Kind::kMembers;
     ids_ok = tools::ParseIdList(tokens[1], &request->members);
   }
   if (!ids_ok ||
-      !tools::ParseWholeInt(tokens[2], INT_MIN, INT_MAX, &request->k)) {
+      !ParseWholeInt(tokens[2], INT_MIN, INT_MAX, &request->k)) {
     return false;
   }
   request->exclude_seen = tokens.size() > 3 && tokens[3] == "x";
@@ -197,9 +196,10 @@ int main(int argc, char** argv) {
       !backend.empty() && !tensor::SelectBackendByName(backend)) {
     return Fail("kernel backend not available on this host: " + backend);
   }
-  config.deadline_ticks =
-      std::strtoull(FlagOr(flags, "deadline", "0").c_str(), nullptr, 10);
-  if (!IntFlag(flags, "retries", "0", 0, INT_MAX,
+  // Tick budgets stop at INT64_MAX, so a tick plus a budget cannot wrap.
+  if (!IntFlag<uint64_t>(flags, "deadline", "0", 0, INT64_MAX,
+                         &config.deadline_ticks) ||
+      !IntFlag(flags, "retries", "0", 0, INT_MAX,
                &config.backoff.max_retries) ||
       !IntFlag(flags, "reload-retries", "0", 0, INT_MAX,
                &config.reload_retries)) {
@@ -211,11 +211,11 @@ int main(int argc, char** argv) {
     if (!IntFlag(flags, "breaker-window", "16", 1, INT_MAX, &b.window) ||
         !IntFlag(flags, "breaker-threshold", "8", 1, b.window,
                  &b.threshold) ||
-        !IntFlag(flags, "breaker-probes", "2", 1, INT_MAX, &b.probes)) {
+        !IntFlag(flags, "breaker-probes", "2", 1, INT_MAX, &b.probes) ||
+        !IntFlag<uint64_t>(flags, "breaker-open", "32", 0, INT64_MAX,
+                           &b.open_ticks)) {
       return 1;
     }
-    b.open_ticks = std::strtoull(FlagOr(flags, "breaker-open", "32").c_str(),
-                                 nullptr, 10);
   }
   config.supervise = flags.count("no-supervise") == 0;
 
