@@ -26,6 +26,7 @@
 // of the same reps (the >= 3.5x gate from tests/core/int8_mode_test.cc).
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,11 +70,12 @@ Flags ParseFlags(int argc, char** argv) {
       f.sweep = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
-    } else if (!ParseBenchIntFlag(arg, "--items", 1, &f.items) &&
-               !ParseBenchIntFlag(arg, "--groups", 1, &f.groups) &&
-               !ParseBenchIntFlag(arg, "--users", 1, &f.users) &&
-               !ParseBenchIntFlag(arg, "--threads", 1, &f.threads) &&
-               !ParseBenchIntFlag(arg, "--k", 1, &f.k)) {
+    } else if (!ParseBenchIntFlag(arg, "--items", 1, INT_MAX, &f.items) &&
+               !ParseBenchIntFlag(arg, "--groups", 1, INT_MAX, &f.groups) &&
+               !ParseBenchIntFlag(arg, "--users", 1, INT_MAX, &f.users) &&
+               !ParseBenchIntFlag(arg, "--threads", 1,
+                                 parallel::kMaxThreads, &f.threads) &&
+               !ParseBenchIntFlag(arg, "--k", 1, INT_MAX, &f.k)) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::exit(2);
     }

@@ -1,8 +1,9 @@
 // Kernel-backend benchmark: times every compiled-and-runnable dispatch
-// backend (scalar, and avx2/avx512 when present) on the three kernels in
+// backend (scalar, and avx2/avx512 when present) on the four kernels in
 // the dispatch table — the GEMM row kernel at a serving-shaped problem, the
-// fused attention-logit loop at the model's hidden widths, and the int8 row
-// dot over a catalog-sized table. Every timed output is byte-compared
+// fused attention-logit loop at the model's hidden widths, the int8 row
+// dot over a catalog-sized table, and the k-means nearest-centroid step at
+// the GEMM's shape (rows x d against nlist = n centroids). Every timed output is byte-compared
 // against the scalar backend's first (the bit-identity contract from
 // tensor/backend.h); the driver exits non-zero on any divergence, so a
 // recorded speedup always describes bit-identical arithmetic.
@@ -68,7 +69,9 @@ struct BackendResult {
   double gemm_ms = 0.0;       // one full GEMM pass, best-of-reps
   double attention_ms = 0.0;  // one attention-logit pass
   double dot_i8_ms = 0.0;     // one catalog-sized int8 dot pass
+  double nearest_ms = 0.0;    // one nearest-centroid pass over the rows
   bool parity = true;         // byte-identical to scalar on every kernel
+  bool nearest_parity = true; // the nearest-centroid kernel alone
 };
 
 }  // namespace
@@ -85,12 +88,21 @@ int main(int argc, char** argv) {
   const int att_c = flags.quick ? 64 : 512;  // candidates
   const int att_l = 8;                       // members
   const int att_h = 32;                      // model hidden width
+  // The nearest-centroid step runs at the GEMM's shape: gemm_m rows of
+  // width gemm_k against gemm_n centroids (the columns of gemm_b).
   const int dot_rows = flags.quick ? 10000 : 200000;
   const int dot_d = 32;
   const int reps = flags.quick ? 3 : 10;
 
   const Matrix gemm_a = RandomMatrix(gemm_m, gemm_k, 11);
   const Matrix gemm_b = RandomMatrix(gemm_k, gemm_n, 22);
+  std::vector<double> half_sqnorms(static_cast<size_t>(gemm_n), 0.0);
+  for (int j = 0; j < gemm_n; ++j) {
+    for (int k = 0; k < gemm_k; ++k) {
+      const double c = static_cast<double>(gemm_b.At(k, j));
+      half_sqnorms[static_cast<size_t>(j)] += 0.5 * c * c;
+    }
+  }
 
   const int att_rows = att_c + 3;
   const Matrix att_prefix = RandomMatrix(att_rows, att_h, 33);
@@ -121,13 +133,16 @@ int main(int argc, char** argv) {
               tensor::ActiveBackendName());
   std::printf(
       "  gemm %dx%dx%d, attention c=%d l=%d h=%d, int8 dot %d rows x d=%d, "
-      "best of %d reps\n",
-      gemm_m, gemm_k, gemm_n, att_c, att_l, att_h, dot_rows, dot_d, reps);
+      "nearest centroid %d rows x d=%d x nlist=%d, best of %d reps\n",
+      gemm_m, gemm_k, gemm_n, att_c, att_l, att_h, dot_rows, dot_d, gemm_m,
+      gemm_k, gemm_n, reps);
 
   std::vector<BackendResult> results;
   Matrix gemm_ref, att_ref;
   std::vector<int32_t> dot_ref;
+  std::vector<int> nearest_ref;
   bool all_parity = true;
+  bool nearest_parity = true;
 
   for (const KernelBackend* backend : tensor::CompiledBackends()) {
     if (!backend->runnable()) {
@@ -141,6 +156,7 @@ int main(int argc, char** argv) {
     Matrix gemm_out(gemm_m, gemm_n);
     Matrix att_out(att_c, att_l);
     std::vector<int32_t> dot_out(static_cast<size_t>(dot_rows));
+    std::vector<int> nearest_out(static_cast<size_t>(gemm_m));
     Stopwatch sw;
     double best;
 
@@ -174,22 +190,35 @@ int main(int argc, char** argv) {
     }
     r.dot_i8_ms = best * 1000.0;
 
+    best = 1e30;
+    for (int i = 0; i < reps; ++i) {
+      sw.Reset();
+      backend->nearest_centroid_rows(gemm_a, gemm_b, half_sqnorms.data(), 0,
+                                     gemm_m, nearest_out.data());
+      best = std::min(best, sw.ElapsedSeconds());
+    }
+    r.nearest_ms = best * 1000.0;
+
     if (results.empty()) {
       gemm_ref = gemm_out;
       att_ref = att_out;
       dot_ref = dot_out;
+      nearest_ref = nearest_out;
     } else {
+      r.nearest_parity = nearest_ref == nearest_out;
       r.parity = BitIdentical(gemm_ref, gemm_out) &&
                  BitIdentical(att_ref, att_out) &&
                  std::memcmp(dot_ref.data(), dot_out.data(),
-                             dot_out.size() * sizeof(int32_t)) == 0;
+                             dot_out.size() * sizeof(int32_t)) == 0 &&
+                 r.nearest_parity;
+      nearest_parity = nearest_parity && r.nearest_parity;
       all_parity = all_parity && r.parity;
     }
 
     std::printf(
         "  %-7s gemm %8.3f ms  attention %8.3f ms  int8 dot %8.3f ms  "
-        "parity %s\n",
-        r.name, r.gemm_ms, r.attention_ms, r.dot_i8_ms,
+        "nearest %8.3f ms  parity %s\n",
+        r.name, r.gemm_ms, r.attention_ms, r.dot_i8_ms, r.nearest_ms,
         r.parity ? "ok" : "DIVERGED");
     results.push_back(r);
   }
@@ -209,23 +238,30 @@ int main(int argc, char** argv) {
                  "  \"gemm\": {\"m\": %d, \"k\": %d, \"n\": %d},\n"
                  "  \"attention\": {\"c\": %d, \"l\": %d, \"h\": %d},\n"
                  "  \"dot_i8\": {\"rows\": %d, \"d\": %d},\n"
+                 "  \"nearest\": {\"rows\": %d, \"d\": %d, \"nlist\": %d},\n"
                  "  \"bit_identical\": %s,\n"
+                 "  \"nearest_bit_identical\": %s,\n"
                  "  \"backends\": [\n",
                  tensor::DetectedCpuFeatures().c_str(),
                  tensor::ActiveBackendName(), gemm_m, gemm_k, gemm_n, att_c,
-                 att_l, att_h, dot_rows, dot_d,
-                 all_parity ? "true" : "false");
+                 att_l, att_h, dot_rows, dot_d, gemm_m, gemm_k, gemm_n,
+                 all_parity ? "true" : "false",
+                 nearest_parity ? "true" : "false");
     for (size_t i = 0; i < results.size(); ++i) {
       const BackendResult& r = results[i];
       const BackendResult& s = results[0];
       std::fprintf(out,
                    "    {\"name\": \"%s\", \"gemm_ms\": %.4f, "
                    "\"attention_ms\": %.4f, \"dot_i8_ms\": %.4f, "
+                   "\"nearest_ms\": %.4f, "
                    "\"gemm_speedup_vs_scalar\": %.3f, "
-                   "\"dot_i8_speedup_vs_scalar\": %.3f}%s\n",
+                   "\"dot_i8_speedup_vs_scalar\": %.3f, "
+                   "\"nearest_speedup_vs_scalar\": %.3f}%s\n",
                    r.name, r.gemm_ms, r.attention_ms, r.dot_i8_ms,
+                   r.nearest_ms,
                    r.gemm_ms > 0.0 ? s.gemm_ms / r.gemm_ms : 0.0,
                    r.dot_i8_ms > 0.0 ? s.dot_i8_ms / r.dot_i8_ms : 0.0,
+                   r.nearest_ms > 0.0 ? s.nearest_ms / r.nearest_ms : 0.0,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

@@ -16,6 +16,7 @@
 //        Every N is a whole number >= 1; anything else exits 2.
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,10 +56,10 @@ Flags ParseFlags(int argc, char** argv) {
       f.quick = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
-    } else if (!ParseBenchIntFlag(arg, "--users", 1, &f.users) &&
-               !ParseBenchIntFlag(arg, "--items", 1, &f.items) &&
-               !ParseBenchIntFlag(arg, "--groups", 1, &f.groups) &&
-               !ParseBenchIntFlag(arg, "--epochs", 1, &f.epochs)) {
+    } else if (!ParseBenchIntFlag(arg, "--users", 1, INT_MAX, &f.users) &&
+               !ParseBenchIntFlag(arg, "--items", 1, INT_MAX, &f.items) &&
+               !ParseBenchIntFlag(arg, "--groups", 1, INT_MAX, &f.groups) &&
+               !ParseBenchIntFlag(arg, "--epochs", 1, INT_MAX, &f.epochs)) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::exit(2);
     }

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace groupsa::parallel {
 namespace {
@@ -44,8 +45,17 @@ struct ForState {
 
 }  // namespace
 
+bool ParseThreadCount(const std::string& text, int* out) {
+  return ParseWholeInt(text, 1, kMaxThreads, out);
+}
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads < 1 ? 1 : num_threads) {
+  // The message is built only when the check fails.
+  GROUPSA_CHECK(num_threads_ <= kMaxThreads,
+                StrFormat("ThreadPool width %d exceeds kMaxThreads (%d)",
+                          num_threads_, kMaxThreads)
+                    .c_str());
   workers_.reserve(num_threads_ - 1);
   for (int i = 0; i < num_threads_ - 1; ++i)
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -149,11 +159,15 @@ DebugMutex& GlobalPoolMutex() {
 
 int DefaultThreads() {
   const char* env = std::getenv("GROUPSA_THREADS");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  return 1;
+  if (env == nullptr || env[0] == '\0') return 1;
+  int n = 1;
+  const bool ok = ParseThreadCount(env, &n);
+  GROUPSA_CHECK(ok,
+                StrFormat("GROUPSA_THREADS must be a whole number in [1, %d], "
+                          "got '%s'",
+                          kMaxThreads, env)
+                    .c_str());
+  return n;
 }
 
 }  // namespace

@@ -4,12 +4,24 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/debug_mutex.h"
 
 namespace groupsa::parallel {
+
+// The widest pool this process may start: a fixed ceiling, not a setting.
+// ThreadPool's constructor checks it before it starts a thread, and it is
+// the largest value GROUPSA_THREADS and the tools' --threads accept
+// (--workers stops a few below it; see serve::kMaxServeWorkers).
+constexpr int kMaxThreads = 256;
+
+// Parses a pool width as GROUPSA_THREADS spells it: a whole decimal number
+// in [1, kMaxThreads] (ParseWholeInt, common/string_util.h). Anything else
+// ("4x", "abc", "-2", "0", "257") is malformed and leaves *out alone.
+bool ParseThreadCount(const std::string& text, int* out);
 
 // Fixed-size thread pool underlying ParallelFor. The pool is deliberately
 // simple (single shared queue, no work stealing): every parallel region in
@@ -28,7 +40,8 @@ class ThreadPool {
  public:
   // Spawns `num_threads - 1` workers (the calling thread always participates
   // in ParallelFor, so a pool of size 1 runs everything inline and spawns
-  // nothing).
+  // nothing). CHECK-fails, before spawning any, when num_threads exceeds
+  // kMaxThreads.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -77,8 +90,10 @@ class ThreadPool {
 
 // The process-wide pool used by tensor kernels, the trainer and the
 // evaluator. Sized on first use from the GROUPSA_THREADS environment
-// variable; defaults to 1 (serial) so that library behavior is opt-in
-// identical to the historical single-threaded code paths.
+// variable, read through ParseThreadCount: a value it rejects CHECK-fails
+// naming the variable. Unset (or empty) means 1 (serial), so that library
+// behavior is opt-in identical to the historical single-threaded code
+// paths.
 ThreadPool* GlobalPool();
 
 // Resizes the global pool. Must not be called while a parallel region is in

@@ -9,17 +9,15 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/topk.h"
+#include "tensor/backend.h"
 #include "tensor/ops.h"
 
 namespace groupsa::core {
 namespace {
 
-// Rows per assignment tile: bounds the (rows x nlist) dot-product scratch to
-// ~32 MB at the nlist cap while keeping the GEMM tall enough to hit the
-// tiled kernel.
-constexpr int kAssignChunkRows = 4096;
-// Grain of the per-row argmax fan-out.
-constexpr int64_t kArgmaxGrain = 64;
+// Rows per nearest-centroid tile: the grain the assignment fans out over
+// the global pool. 256 rows of a 32-wide table is 32 KB, about an L1.
+constexpr int64_t kAssignTileRows = 256;
 
 int ResolveNlist(int requested, int num_items) {
   int nlist = requested;
@@ -57,54 +55,26 @@ std::vector<double> RowSquaredNorms(const tensor::Matrix& m) {
 }
 
 // Assigns every row of `vectors` to its nearest centroid (squared Euclidean,
-// ties to the lowest centroid id) via argmax_j(x·c_j - ||c_j||²/2). The
-// dots come from tensor::Gemm against `centroids_t`, the centroids
-// transposed once per pass (dim x nlist), which runs the column-tiled
-// no-transpose kernel; Gemm's transpose-b branch would read the centroids
-// one strided column at a time. Both compute every dot as the same
-// k-ascending float chain from +0.0f. The transpose-b branch skips zero
-// terms where this one adds them as +/-0.0f, which changes no bits because
-// the accumulator can never be -0.0f, so for finite inputs (checkpoint
-// loading rejects non-finite parameters) the two are bit-identical. The
-// per-row argmax writes disjoint slots, so the result is bit-identical at
-// any thread count. `scratch`/`dots` are caller-provided so Lloyd
-// iterations reuse the same storage.
+// ties to the lowest centroid id) via argmax_j(x·c_j - ||c_j||²/2), through
+// the dispatched nearest-centroid kernel (tensor/backends/kernels.inc).
+// `centroids_t` holds the centroids transposed once per pass (dim x nlist),
+// so the kernel reads each centroid coordinate row contiguously. Every dot
+// is the k-ascending float chain from +0.0f that tensor::Gemm runs, and
+// tiles of rows write disjoint slots, so the result is bit-identical at any
+// thread count and on every backend.
 void AssignNearest(const tensor::Matrix& vectors,
                    const tensor::Matrix& centroids_t,
                    const std::vector<double>& half_centroid_sqnorms,
-                   tensor::Matrix* scratch, tensor::Matrix* dots,
                    std::vector<int>* assignments) {
   const int n = vectors.rows();
-  const int nlist = centroids_t.cols();
   assignments->resize(static_cast<size_t>(n));
-  std::vector<int> chunk_ids;
-  for (int begin = 0; begin < n; begin += kAssignChunkRows) {
-    const int end = std::min(n, begin + kAssignChunkRows);
-    const int rows = end - begin;
-    chunk_ids.resize(static_cast<size_t>(rows));
-    for (int r = 0; r < rows; ++r) chunk_ids[static_cast<size_t>(r)] = begin + r;
-    tensor::GatherRowsInto(vectors, chunk_ids, scratch);
-    tensor::Gemm(*scratch, false, centroids_t, false, 1.0f, dots);
-    int* out = assignments->data() + begin;
-    const tensor::Matrix& d = *dots;
-    parallel::ParallelFor(0, rows, kArgmaxGrain, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* drow = d.RowPtr(static_cast<int>(r));
-        int best = 0;
-        double best_score = static_cast<double>(drow[0]) -
-                            half_centroid_sqnorms[0];
-        for (int j = 1; j < nlist; ++j) {
-          const double s = static_cast<double>(drow[j]) -
-                           half_centroid_sqnorms[static_cast<size_t>(j)];
-          if (s > best_score) {
-            best_score = s;
-            best = j;
-          }
-        }
-        out[r] = best;
-      }
-    });
-  }
+  const tensor::KernelBackend& kb = tensor::ActiveBackend();
+  int* out = assignments->data();
+  parallel::ParallelFor(0, n, kAssignTileRows, [&](int64_t r0, int64_t r1) {
+    kb.nearest_centroid_rows(vectors, centroids_t,
+                             half_centroid_sqnorms.data(),
+                             static_cast<int>(r0), static_cast<int>(r1), out);
+  });
 }
 
 // k-means++ D² seeding over the rows of `sample`: the first centroid is a
@@ -113,7 +83,7 @@ void AssignNearest(const tensor::Matrix& vectors,
 // maintained incrementally from one dot per sample row and chosen centroid,
 // computed in a streaming pass over the sample transposed once (dim x rows):
 // each transposed row scales into the whole dots vector, so every dot is the
-// k-ascending float chain from +0.0f that AssignNearest's product runs. All
+// k-ascending float chain from +0.0f that AssignNearest's kernel runs. All
 // draws come from the single `rng` stream in a fixed order, so seeding is a
 // pure function of (sample, nlist, rng state).
 tensor::Matrix SeedCentroids(const tensor::Matrix& sample, int nlist,
@@ -149,7 +119,7 @@ tensor::Matrix SeedCentroids(const tensor::Matrix& sample, int nlist,
     }
     // All remaining mass at distance zero (duplicate-heavy samples): any
     // pick is equivalent, fall back to a uniform draw to keep going.
-    pick = (total > 0.0) ? rng->NextWeighted(d2) : rng->NextInt(m);
+    pick = (total > 0.0) ? rng->NextWeighted(d2, total) : rng->NextInt(m);
     centroids.SetRow(j, sample.RowPtr(pick));
   }
   return centroids;
@@ -222,14 +192,12 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
   index.centroids_ = SeedCentroids(*train, nlist, &rng);
 
   tensor::Matrix centroids_t;
-  tensor::Matrix scratch;
-  tensor::Matrix dots;
   std::vector<int> assign;
   std::vector<int> prev_assign;
   for (int iter = 0; iter < config.train_iters; ++iter) {
     tensor::TransposeInto(index.centroids_, &centroids_t);
     AssignNearest(*train, centroids_t, HalfSquaredNorms(index.centroids_),
-                  &scratch, &dots, &assign);
+                  &assign);
     if (iter > 0 && assign == prev_assign) break;
     UpdateCentroids(*train, assign, &index.centroids_);
     prev_assign = assign;
@@ -238,7 +206,7 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
   // Final pass: assign the full catalog with the trained quantizer.
   tensor::TransposeInto(index.centroids_, &centroids_t);
   AssignNearest(vectors, centroids_t, HalfSquaredNorms(index.centroids_),
-                &scratch, &dots, &index.assignments_);
+                &index.assignments_);
 
   // CSR inverted lists; filling in ascending item order keeps each list's
   // items ascending.

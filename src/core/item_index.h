@@ -52,11 +52,14 @@ struct ItemIndexConfig {
 //
 // Build: k-means++ seeding and Lloyd iterations run on a deterministic
 // row sample; the trained quantizer then assigns every catalog item to its
-// nearest centroid (ties to the lowest centroid id) in one chunked pass.
-// Nearest-centroid search is expressed as argmax_j(x·c_j - ||c_j||²/2) so
-// the heavy lifting is a (chunk x nlist) tensor::Gemm, with the per-row
-// argmax fanned out over the global pool into disjoint slots — both
-// bit-identical at any thread count, so the whole build is.
+// nearest centroid (ties to the lowest centroid id) in one pass over the
+// catalog. Nearest-centroid search is expressed as
+// argmax_j(x·c_j - ||c_j||²/2) and runs in the dispatched
+// nearest_centroid_rows kernel (tensor/backend.h): tiles of rows, fanned
+// out over the global pool into disjoint slots, each scored against the
+// transposed centroids with Gemm's dot bits and argmaxed without a score
+// table. The result is bit-identical on every backend and at any thread
+// count, so the whole build is.
 //
 // The inverted lists partition the catalog: every item appears in exactly
 // one list, and within a list items are in ascending id order. Probing all

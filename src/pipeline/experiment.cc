@@ -263,13 +263,18 @@ void PrintGroupTable(const std::string& title,
   std::fflush(stdout);
 }
 
-bool ParseBenchIntFlag(const char* arg, const char* name, int min,
+bool ParseBenchIntFlag(const char* arg, const char* name, int min, int max,
                        int* out) {
   const size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  if (!ParseWholeInt(arg + n + 1, min, INT_MAX, out)) {
-    std::fprintf(stderr, "%s must be an integer >= %d, got '%s'\n", name, min,
-                 arg + n + 1);
+  if (!ParseWholeInt(arg + n + 1, min, max, out)) {
+    if (max == INT_MAX) {
+      std::fprintf(stderr, "%s must be an integer >= %d, got '%s'\n", name,
+                   min, arg + n + 1);
+    } else {
+      std::fprintf(stderr, "%s must be an integer in [%d, %d], got '%s'\n",
+                   name, min, max, arg + n + 1);
+    }
     std::exit(2);
   }
   return true;
@@ -288,13 +293,14 @@ RunOptions ParseBenchArgs(int argc, char** argv, RunOptions defaults) {
                      arg + 7);
         std::exit(2);
       }
-    } else if (ParseBenchIntFlag(arg, "--epochs", 1, &epochs)) {
+    } else if (ParseBenchIntFlag(arg, "--epochs", 1, INT_MAX, &epochs)) {
       options.user_epochs = epochs;
       options.group_epochs = epochs;
       options.baseline_epochs = epochs;
-    } else if (!ParseBenchIntFlag(arg, "--candidates", 1,
+    } else if (!ParseBenchIntFlag(arg, "--candidates", 1, INT_MAX,
                                   &options.num_candidates) &&
-               !ParseBenchIntFlag(arg, "--threads", 0, &options.threads)) {
+               !ParseBenchIntFlag(arg, "--threads", 0, parallel::kMaxThreads,
+                                  &options.threads)) {
       std::fprintf(stderr,
                    "unknown flag %s (supported: --quick --seed=N "
                    "--candidates=N --epochs=N --threads=N)\n",

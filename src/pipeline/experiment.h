@@ -128,9 +128,10 @@ void PrintGroupTable(const std::string& title,
                      const RunOptions& options);
 
 // Reads `arg` into *out when it is `name=N` (`name` with its dashes);
-// false when it is another flag. N must be a whole number >= min
+// false when it is another flag. N must be a whole number in [min, max]
 // (ParseWholeInt), or the process exits 2 naming the flag.
-bool ParseBenchIntFlag(const char* arg, const char* name, int min, int* out);
+bool ParseBenchIntFlag(const char* arg, const char* name, int min, int max,
+                       int* out);
 
 // Parses the common bench flags: --quick, --seed=N, --candidates=N,
 // --epochs=N (every stage) and --threads=N (0 keeps the current pool). A

@@ -24,7 +24,8 @@ Server::Server(const ServeConfig& config, ModelFactory factory,
       user_exclude_(user_exclude),
       group_exclude_(group_exclude),
       breaker_(config.breaker) {
-  GROUPSA_CHECK(config_.workers >= 1, "ServeConfig::workers must be >= 1");
+  GROUPSA_CHECK(config_.workers >= 1 && config_.workers <= kMaxServeWorkers,
+                "ServeConfig::workers must be in [1, kMaxServeWorkers]");
   GROUPSA_CHECK(config_.queue_depth >= 1,
                 "ServeConfig::queue_depth must be >= 1");
   GROUPSA_CHECK(config_.reload_retries >= 0,

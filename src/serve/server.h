@@ -187,8 +187,13 @@ struct ServerStats {
   uint64_t now_tick = 0;  // virtual clock reading
 };
 
+// The most worker loops a server runs: its pool adds the supervisor, a
+// spare and the constructing thread's lane to them (Server::Start), and
+// stays within parallel::kMaxThreads.
+constexpr int kMaxServeWorkers = parallel::kMaxThreads - 3;
+
 struct ServeConfig {
-  int workers = 2;       // scoring worker loops (>= 1)
+  int workers = 2;       // scoring worker loops, in [1, kMaxServeWorkers]
   int queue_depth = 64;  // admission queue bound (>= 1)
   enum class OverloadPolicy {
     kShedToFallback,  // full queue: answer popularity on the caller thread

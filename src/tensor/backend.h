@@ -12,13 +12,14 @@ namespace groupsa::tensor {
 // Runtime kernel dispatch.
 //
 // The hot compute kernels — the GEMM row kernel, the fused attention-logit
-// loop, and the int8 row-dot — are compiled once per ISA into separate
-// translation units (tensor/backends/backend_{scalar,avx2,avx512}.cc, each
-// including the same kernel bodies from tensor/backends/kernels.inc with
-// that ISA's compile flags), and one variant is selected by CPUID at
-// startup. This replaces the old scheme of compiling tensor/ops.cc itself
-// with host SIMD flags, which produced binaries that crashed on narrower
-// machines than the build host.
+// loop, the int8 row-dot and the k-means nearest-centroid step — are
+// compiled once per ISA into separate translation units
+// (tensor/backends/backend_{scalar,avx2,avx512}.cc, each including the same
+// kernel bodies from tensor/backends/kernels.inc with that ISA's compile
+// flags), and one variant is selected by CPUID at startup. This replaces
+// the old scheme of compiling tensor/ops.cc itself with host SIMD flags,
+// which produced binaries that crashed on narrower machines than the build
+// host.
 //
 // Bit-exactness contract: every backend returns BIT-IDENTICAL results.
 // Vector width only changes how many independent output columns are
@@ -59,6 +60,15 @@ struct KernelBackend {
   // exact in int32 for every d this model uses (|sum| <= 127*127*d).
   void (*dot_i8_rows)(const int8_t* q, const int8_t* table, const int* ids,
                       int rows, int d, int32_t* out);
+  // The k-means nearest-centroid step over rows [row_begin, row_end) of x
+  // (rows x d): out[r] = the first j maximising double(x_r·c_j) - half[j],
+  // with c_j column j of centroids_t (d x nlist, nlist >= 1) and each dot
+  // Gemm's float chain. Ties go to the lowest j, NaN included: the index is
+  // the one a scalar strict-> scan from j = 0 returns. Semantics documented
+  // at the kernel definition in tensor/backends/kernels.inc.
+  void (*nearest_centroid_rows)(const Matrix& x, const Matrix& centroids_t,
+                                const double* half, int row_begin,
+                                int row_end, int* out);
 };
 
 // Every backend compiled into this binary, scalar first, then ascending

@@ -23,7 +23,7 @@ const KernelBackend& ScalarBackend() {
   static const KernelBackend backend{
       "scalar",           &ScalarRunnable,
       &scalar_impl::GemmRows, &scalar_impl::AttentionLogits,
-      &scalar_impl::DotInt8Rows};
+      &scalar_impl::DotInt8Rows, &scalar_impl::NearestCentroidRows};
   return backend;
 }
 

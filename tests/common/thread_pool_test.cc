@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,6 +143,34 @@ TEST(ThreadPoolTest, OnWorkerThreadFalseOnCaller) {
   // the flag must still be false here afterwards.
   EXPECT_FALSE(ThreadPool::OnWorkerThread());
   (void)worker_hits;
+}
+
+// GROUPSA_THREADS is read through ParseThreadCount, so the whole-number
+// rule is tested here as a pure function: no pool is started.
+TEST(ThreadPoolTest, ParseThreadCountTakesWholeWidthsUpToTheCeiling) {
+  int n = -1;
+  EXPECT_TRUE(ParseThreadCount("4", &n));
+  EXPECT_EQ(n, 4);
+  EXPECT_TRUE(ParseThreadCount("1", &n));
+  EXPECT_EQ(n, 1);
+  EXPECT_TRUE(ParseThreadCount(std::to_string(kMaxThreads), &n));
+  EXPECT_EQ(n, kMaxThreads);
+  const std::string past_ceiling = std::to_string(kMaxThreads + 1);
+  for (const std::string& bad :
+       {std::string("4x"), std::string("abc"), std::string("-2"),
+        std::string("0"), std::string(""), std::string(" 4"),
+        std::string("1.5"), past_ceiling, std::string("99999999999")}) {
+    n = -1;
+    EXPECT_FALSE(ParseThreadCount(bad, &n)) << "'" << bad << "'";
+    EXPECT_EQ(n, -1) << "'" << bad << "' wrote the output";
+  }
+}
+
+// One past the ceiling fails in the constructor before any thread starts,
+// so this starts none.
+TEST(ThreadPoolDeathTest, ConstructorRejectsOnePastTheCeiling) {
+  EXPECT_DEATH({ ThreadPool pool(kMaxThreads + 1); },
+               "ThreadPool width [0-9]+ exceeds kMaxThreads");
 }
 
 }  // namespace

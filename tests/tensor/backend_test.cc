@@ -5,8 +5,10 @@
 // whose vectorization changed any accumulation order fails here long
 // before it could corrupt a training run.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -206,6 +208,156 @@ TEST(KernelBackendTest, Int8DotParityAndExactness) {
                          seq.data());
     for (int r = 0; r < rows; ++r)
       EXPECT_EQ(seq[static_cast<size_t>(r)], naive(r)) << backend->name;
+  }
+}
+
+// Nearest-centroid parity. The oracle is the scan the k-means build ran
+// before the kernel existed: one float dot per (row, centroid) pair, a
+// chain from +0.0f with k ascending, then a strict-> scan from j = 0.
+std::vector<int> NaiveNearest(const Matrix& x, const Matrix& centroids_t,
+                              const std::vector<double>& half) {
+  std::vector<int> out(static_cast<size_t>(x.rows()));
+  for (int i = 0; i < x.rows(); ++i) {
+    int best = 0;
+    double best_score = 0.0;
+    for (int j = 0; j < centroids_t.cols(); ++j) {
+      float dot = 0.0f;
+      for (int k = 0; k < x.cols(); ++k)
+        dot += x.At(i, k) * centroids_t.At(k, j);
+      const double s = static_cast<double>(dot) - half[static_cast<size_t>(j)];
+      if (j == 0 || s > best_score) {
+        best = j;
+        best_score = s;
+      }
+    }
+    out[static_cast<size_t>(i)] = best;
+  }
+  return out;
+}
+
+// The kernel over every row, in small tiles fanned out over the global
+// pool as the index build fans them.
+std::vector<int> NearestOnPool(const KernelBackend& backend, const Matrix& x,
+                               const Matrix& centroids_t,
+                               const std::vector<double>& half) {
+  std::vector<int> out(static_cast<size_t>(x.rows()), -1);
+  parallel::ParallelFor(0, x.rows(), 4, [&](int64_t r0, int64_t r1) {
+    backend.nearest_centroid_rows(x, centroids_t, half.data(),
+                                  static_cast<int>(r0), static_cast<int>(r1),
+                                  out.data());
+  });
+  return out;
+}
+
+// Entries in {-2, ..., 2}: every dot and score is exact and ties are common.
+Matrix SmallIntMatrix(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, cols);
+  for (int i = 0; i < m.size(); ++i)
+    m.data()[i] = static_cast<float>(static_cast<int>(rng.NextU64() % 5) - 2);
+  return m;
+}
+
+std::vector<double> HalfSquaredNorms(const Matrix& centroids_t) {
+  std::vector<double> half(static_cast<size_t>(centroids_t.cols()));
+  for (int j = 0; j < centroids_t.cols(); ++j) {
+    double acc = 0.0;
+    for (int k = 0; k < centroids_t.rows(); ++k) {
+      const double c = static_cast<double>(centroids_t.At(k, j));
+      acc += c * c;
+    }
+    half[static_cast<size_t>(j)] = 0.5 * acc;
+  }
+  return half;
+}
+
+struct NearestCase {
+  std::string name;
+  Matrix x;
+  Matrix centroids_t;
+  std::vector<double> half;
+};
+
+std::vector<NearestCase> NearestCases(int nlist) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  // 37 small-integer rows (a multiple of no tile height), then rows whose
+  // dots are +0.0 built from -0.0 terms, +inf/-inf/NaN, and the NaN a
+  // 0 * inf term makes.
+  Matrix x = SmallIntMatrix(42, 3, 1000 + static_cast<uint64_t>(nlist));
+  const float specials[5][3] = {{-0.0f, -0.0f, -0.0f},
+                                {1.0f, kInf, 0.0f},
+                                {-kInf, 1.0f, -1.0f},
+                                {0.0f, 0.0f, kNaN},
+                                {kInf, -kInf, 2.0f}};
+  for (int r = 0; r < 5; ++r) x.SetRow(37 + r, specials[r]);
+  const Matrix ct =
+      SmallIntMatrix(3, nlist, 2000 + static_cast<uint64_t>(nlist));
+
+  std::vector<NearestCase> cases;
+  cases.push_back({"small-integer ties", x, ct, HalfSquaredNorms(ct)});
+
+  // Scores equal to the dots, with +0.0 and -0.0 halves: equal dots tie.
+  std::vector<double> signed_zeros(static_cast<size_t>(nlist));
+  for (int j = 0; j < nlist; ++j)
+    signed_zeros[static_cast<size_t>(j)] = (j % 2 == 0) ? 0.0 : -0.0;
+  cases.push_back({"signed-zero halves", x, ct, signed_zeros});
+
+  Matrix nan0 = ct;
+  nan0.At(1, 0) = kNaN;
+  cases.push_back({"NaN at j = 0", x, nan0, HalfSquaredNorms(nan0)});
+
+  // NaN in a later column, and infinite columns whose half is +inf.
+  Matrix nonfinite = ct;
+  nonfinite.At(0, nlist / 2) = kNaN;
+  nonfinite.At(2, nlist - 1) = kInf;
+  nonfinite.At(1, (nlist * 2) / 3) = -kInf;
+  if (nlist > 1) {
+    cases.push_back({"NaN and inf at j > 0", x, nonfinite,
+                     HalfSquaredNorms(nonfinite)});
+  }
+
+  // Row r is one-hot at r, so its scores are row r of the table: a first
+  // maximum at position p_r, tied again at every third column after it,
+  // which puts the tie in every lane. Positions cover the first 24 columns
+  // (every lane of a 16-wide tile and more) and the last tile's tail.
+  std::vector<int> positions;
+  for (int p = 0; p < std::min(nlist, 24); ++p) positions.push_back(p);
+  for (int back : {1, 2, 8, 9, 17}) {
+    if (nlist - back >= 24) positions.push_back(nlist - back);
+  }
+  const int rows = static_cast<int>(positions.size());
+  Matrix onehot(rows, rows);
+  Matrix ties(rows, nlist);
+  for (int r = 0; r < rows; ++r) {
+    onehot.At(r, r) = 1.0f;
+    const int p = positions[static_cast<size_t>(r)];
+    for (int j = p; j < nlist; j += 3) ties.At(r, j) = 1.0f;
+  }
+  cases.push_back({"first maximum at every position", onehot, ties,
+                   std::vector<double>(static_cast<size_t>(nlist), 0.0)});
+  return cases;
+}
+
+TEST(KernelBackendTest, NearestCentroidParityAcrossBackends) {
+  const std::vector<const KernelBackend*> backends = RunnableBackends();
+  for (int nlist : {1, 7, 8, 15, 16, 17, 31, 32, 33, 256, 282, 1264}) {
+    for (const NearestCase& c : NearestCases(nlist)) {
+      SCOPED_TRACE(::testing::Message() << "nlist=" << nlist << " " << c.name);
+      const std::vector<int> oracle = NaiveNearest(c.x, c.centroids_t, c.half);
+      for (int threads : {1, 4}) {
+        parallel::SetGlobalThreads(threads);
+        const std::vector<int> scalar =
+            NearestOnPool(*backends.front(), c.x, c.centroids_t, c.half);
+        for (const KernelBackend* backend : backends) {
+          const std::vector<int> got =
+              NearestOnPool(*backend, c.x, c.centroids_t, c.half);
+          EXPECT_EQ(got, oracle) << backend->name << " threads=" << threads;
+          EXPECT_EQ(got, scalar) << backend->name << " threads=" << threads;
+        }
+      }
+      parallel::SetGlobalThreads(1);
+    }
   }
 }
 

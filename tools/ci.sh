@@ -12,9 +12,10 @@
 #                 zero-overhead gate (the serving lane's run)
 #   tidy          clang-tidy over src/ (visible skip when not installed)
 #   bench         inference + training bench smokes (bit-parity gates)
-#                 and the bench int-flag gate (a malformed --epochs,
-#                 --items or --seed exits non-zero naming the flag, in the
-#                 timing benches and the paper-table benches alike)
+#                 and the bench int-flag gate (a malformed or out-of-range
+#                 --epochs, --items, --seed or --threads exits non-zero
+#                 naming the flag, in the timing benches and the paper-table
+#                 benches alike)
 #   serving       the repo benchmark's hot_exact_2k workload, --quick,
 #                 through the serving daemon: served answers 0-ULP against
 #                 a direct engine, request conservation, answers unchanged
@@ -28,13 +29,16 @@
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
 #                 from the last good checkpoint), the bad-numeric-flag
 #                 gate (exit 1 naming the flag, never an abort, a wrapped
-#                 tick budget or a silently different seed) and the
-#                 bad-script-number gate (reported, never served)
+#                 tick budget or a silently different seed), the
+#                 bad-script-number gate (reported, never served) and the
+#                 GROUPSA_THREADS gate (a malformed or out-of-range pool
+#                 width fails naming the variable)
 #   index         IVF retrieval gates: nprobe=nlist exact-parity (0-ULP vs
-#                 kExact), the pinned retrieval-plan top-10 digests,
-#                 recall@10 on the seeded world, the pinned
-#                 centroid/assignment digests of fixed builds, and the full
-#                 ItemIndex suite under ASan
+#                 kExact), the pinned retrieval-plan top-10 digests and the
+#                 pinned centroid/assignment digests of fixed builds, each
+#                 under every runnable kernel backend (the build's
+#                 nearest-centroid step is per-ISA code), recall@10 on the
+#                 seeded world, and the full ItemIndex suite under ASan
 #   quant         kernel-dispatch + int8 gates: backend parity suite, the
 #                 int8 ranking-quality/memory gates and retrieval-plan
 #                 digests, cross-backend training
@@ -226,6 +230,8 @@ epochs bench_training --epochs=two
 items bench_inference --items=2k
 epochs bench_table5_joint_training --quick --epochs=two
 seed bench_table5_joint_training --quick --seed=x3
+threads bench_table5_joint_training --quick --threads=257
+threads bench_inference --threads=4x
 EOF
   echo "bench int flag gate OK"
 }
@@ -425,6 +431,9 @@ seed train --seed abc
 deadline --deadline -1
 deadline --deadline 5x
 breaker-open --breaker --breaker-open soon
+threads --threads 257
+threads train --threads 257
+workers --workers 254
 EOF
   # A repeated member breaks the daemon's request rules, and the command
   # line says so in the rule's own words.
@@ -433,6 +442,28 @@ EOF
     exit 1
   fi
   echo "serve flag gate OK"
+
+  echo "=== GROUPSA_THREADS gate (a bad pool width fails naming it) ==="
+  # The variable is read as a whole number in [1, 256]. atoi read 4x as 4
+  # and abc or -2 as serial; each must now fail, naming the variable,
+  # before a pool starts.
+  local value
+  for value in 4x abc -2 257; do
+    set +e
+    GROUPSA_THREADS="${value}" ./build/tools/groupsa_cli train \
+      --data "${serve_dir}" --epochs 1 \
+      --model "${serve_dir}/flag_model.ckpt" > /dev/null \
+      2> "${serve_dir}/env_err.txt"
+    rc=$?
+    set -e
+    if [ "${rc}" -eq 0 ] ||
+        ! grep -q "GROUPSA_THREADS" "${serve_dir}/env_err.txt"; then
+      echo "FAIL: GROUPSA_THREADS=${value} exited ${rc} without naming" \
+        "the variable" >&2
+      exit 1
+    fi
+  done
+  echo "GROUPSA_THREADS gate OK"
 
   echo "=== serve script gate (malformed numbers are bad commands) ==="
   # An id or k that is not a whole decimal number must not be read as a
@@ -510,23 +541,33 @@ lane_index() {
   # Full build, not --target: with a pre-existing tree the make-level cmake
   # regen rule does not fire for a target the stale cache has never seen.
   cmake --build build -j "${JOBS}"
-  # Exact-parity gate: with nprobe = nlist the candidate set is the whole
-  # catalog and every IVF answer must be 0-ULP identical to TopKMode::kExact
-  # — through the engine, the fast recommender, and across thread counts.
-  # RetrievePlanTest adds the pinned top-10 digests of every config x query
-  # kind x plan cell of the retrieval pipeline.
-  ctest --test-dir build --output-on-failure -j "${JOBS}" \
-    -R 'FullProbeBitIdenticalToExact|RetrievePlanTest'
+  # Three gates, run once per runnable kernel backend (forced through
+  # GROUPSA_KERNEL_BACKEND, as the quant lane does): every index build's
+  # nearest-centroid step runs that backend's per-ISA kernel.
+  #  - Exact parity: with nprobe = nlist the candidate set is the whole
+  #    catalog and every IVF answer must be 0-ULP identical to
+  #    TopKMode::kExact, through the engine, the fast recommender, and
+  #    across thread counts.
+  #  - RetrievePlanTest: the pinned top-10 digests of every config x query
+  #    kind x plan cell of the retrieval pipeline.
+  #  - Bit gate: fixed builds (1, 17, 40, 256 lists and the size rule at
+  #    5,000 items) must reproduce their pinned centroid and assignment
+  #    digests at 1 and 4 threads, so a faster k-means cannot silently move
+  #    an index.
+  local backends backend
+  backends="$(./build/tools/groupsa_cli kernels)"
+  echo "runnable backends: ${backends//$'\n'/ }"
+  for backend in ${backends}; do
+    echo "--- index gates under the ${backend} backend ---"
+    GROUPSA_KERNEL_BACKEND="${backend}" \
+      ctest --test-dir build --output-on-failure -j "${JOBS}" \
+        -R 'FullProbeBitIdenticalToExact|RetrievePlanTest|BuildBitsArePinned'
+  done
   # Recall gate: at a genuinely approximate nprobe the IVF top-10 must keep
   # recall@10 above the floor on the seeded synthetic world (deterministic,
   # so a drop is a regression, not noise).
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
     -R 'RecallAtTenOnSeededWorld'
-  # Bit gate: fixed builds (1, 17, 40, 256 lists and the size rule at 5,000
-  # items) must reproduce their pinned centroid and assignment digests at 1
-  # and 4 threads, so a faster k-means cannot silently move an index.
-  ctest --test-dir build --output-on-failure -j "${JOBS}" \
-    -R 'BuildBitsArePinned'
   echo "=== index lane (ItemIndex suite under ASan) ==="
   ensure_build build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGROUPSA_SANITIZE=address

@@ -19,9 +19,9 @@
 //       per line (scalar first, then ascending vector width). CI iterates
 //       this list for the cross-backend bit-parity gates.
 //
-// All commands accept --threads N to size the global thread pool (default:
-// GROUPSA_THREADS env or 1). Training and evaluation results are
-// bit-identical at any thread count.
+// All commands accept --threads N (at most parallel::kMaxThreads) to size
+// the global thread pool (default: GROUPSA_THREADS env or 1). Training and
+// evaluation results are bit-identical at any thread count.
 //   groupsa_cli recommend --data DIR --model FILE --members 1,2,3 [--top K]
 //       Score the catalog for an ad-hoc group and print the Top-K items.
 //       The member list and K follow the serving daemon's request rules
@@ -265,7 +265,8 @@ int main(int argc, char** argv) {
   // recommend); results are bit-identical at any width. 0 keeps the
   // default.
   int threads = 0;
-  if (!IntFlag(flags, "threads", "0", 0, INT_MAX, &threads)) return 1;
+  if (!IntFlag(flags, "threads", "0", 0, parallel::kMaxThreads, &threads))
+    return 1;
   if (threads > 0) parallel::SetGlobalThreads(threads);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "stats") return CmdStats(flags);

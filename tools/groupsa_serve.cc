@@ -154,7 +154,8 @@ int main(int argc, char** argv) {
   if (dir.empty() || model_path.empty())
     return Fail("groupsa_serve requires --data DIR and --model FILE");
   int threads = 0;
-  if (!IntFlag(flags, "threads", "0", 0, INT_MAX, &threads)) return 1;
+  if (!IntFlag(flags, "threads", "0", 0, parallel::kMaxThreads, &threads))
+    return 1;
   if (threads > 0) parallel::SetGlobalThreads(threads);
   const bool strict = flags.count("strict") != 0;
 
@@ -162,7 +163,8 @@ int main(int argc, char** argv) {
   if (!tools::LoadWorkspace(dir, flags, &ws)) return 1;
 
   serve::ServeConfig config;
-  if (!IntFlag(flags, "workers", "2", 1, INT_MAX, &config.workers) ||
+  if (!IntFlag(flags, "workers", "2", 1, serve::kMaxServeWorkers,
+               &config.workers) ||
       !IntFlag(flags, "queue", "64", 1, INT_MAX, &config.queue_depth)) {
     return 1;
   }
