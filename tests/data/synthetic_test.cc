@@ -167,31 +167,70 @@ uint64_t RowsDigest(int num_rows, const RowFn& row) {
   return h;
 }
 
-// Pins every observable edge of four world shapes: the two presets, the
-// unit-test world and perfbench's cold_adhoc_5k shape (5,000 items x 50,000
-// users x 100 groups, the largest topic pools). A faster generator must
+template <typename T>
+uint64_t VectorDigest(const std::vector<T>& values, uint64_t h) {
+  return Fnv1a(values.data(), values.size() * sizeof(T), h);
+}
+
+uint64_t MatrixDigest(const tensor::Matrix& m, uint64_t h) {
+  const int shape[2] = {m.rows(), m.cols()};
+  h = Fnv1a(shape, sizeof(shape), h);
+  return Fnv1a(m.data(), static_cast<size_t>(m.size()) * sizeof(float), h);
+}
+
+// The generative ground truth, field by field: topics, expert flags,
+// expertise, latent vectors and popularity bits.
+uint64_t TruthDigest(const SyntheticWorld& world) {
+  uint64_t h = VectorDigest(world.user_topic, kFnvBasis);
+  for (const bool expert : world.user_is_expert) {
+    const unsigned char byte = expert ? 1 : 0;
+    h = Fnv1a(&byte, 1, h);
+  }
+  h = VectorDigest(world.item_topic, h);
+  h = MatrixDigest(world.user_vectors, h);
+  h = MatrixDigest(world.item_vectors, h);
+  h = MatrixDigest(world.user_expertise, h);
+  return VectorDigest(world.item_popularity, h);
+}
+
+// Pins every field of six world shapes: the two presets, the unit-test
+// world and perfbench's world shapes (items x users x groups; train_yelp
+// runs YelpLike). 5,000 x 50,000 x 100 draws from the largest topic pools
+// and 100,000 x 200 x 100 has the largest catalog. A faster generator must
 // reproduce these bits; a deliberate change re-pins them from the printed
 // values.
 TEST(SyntheticWorldTest, WorldBitsArePinned) {
   struct Pin {
     const char* name;
     SyntheticWorldConfig config;
-    uint64_t user_item, group_item, social, members;
+    uint64_t user_item, group_item, social, members, truth;
   };
-  SyntheticWorldConfig cold;
-  cold.num_items = 5000;
-  cold.num_users = 50000;
-  cold.num_groups = 100;
+  auto shape = [](int items, int users, int groups) {
+    SyntheticWorldConfig c;
+    c.num_items = items;
+    c.num_users = users;
+    c.num_groups = groups;
+    return c;
+  };
   const Pin pins[] = {
       {"Tiny", SyntheticWorldConfig::Tiny(), 0xc9d5aeb4e2cf72e1ULL,
-       0x922f654126a5c938ULL, 0x8f0d24cde7f206a3ULL, 0x0b9944ad458abb6cULL},
+       0x922f654126a5c938ULL, 0x8f0d24cde7f206a3ULL, 0x0b9944ad458abb6cULL,
+       0x1c543cfba306193cULL},
       {"YelpLike", SyntheticWorldConfig::YelpLike(), 0x514c26bf34b441c3ULL,
-       0x81964270456cdcdeULL, 0xca75561ceba65f08ULL, 0xe61d20c0fe4e022bULL},
+       0x81964270456cdcdeULL, 0xca75561ceba65f08ULL, 0xe61d20c0fe4e022bULL,
+       0x98f426c044005ba1ULL},
       {"DoubanEventLike", SyntheticWorldConfig::DoubanEventLike(),
        0x355e55b800157eb7ULL, 0x68064b5b4eef956dULL, 0x3584dd34f54de710ULL,
-       0x0056dba034120c78ULL},
-      {"5000x50000x100", cold, 0x2d3865ec7ff68ceeULL, 0x1b41187c3497ae0cULL,
-       0x3514e65198bab651ULL, 0xb0d0a966bb2b6812ULL},
+       0x0056dba034120c78ULL, 0x20250074afa904bfULL},
+      {"2000x400x100", shape(2000, 400, 100), 0xe2446cc58eefae6fULL,
+       0x187272113b5d4098ULL, 0xcbc5fffed63e718bULL, 0xeba335d4298211b1ULL,
+       0xd18a9765007f40afULL},
+      {"100000x200x100", shape(100000, 200, 100), 0x82a8328b163bcfebULL,
+       0xa208508013606150ULL, 0x5be59dbda620c441ULL, 0x982104a72ad65a81ULL,
+       0x76a6b8962fdd49f2ULL},
+      {"5000x50000x100", shape(5000, 50000, 100), 0x2d3865ec7ff68ceeULL,
+       0x1b41187c3497ae0cULL, 0x3514e65198bab651ULL, 0xb0d0a966bb2b6812ULL,
+       0xd65a9f8140402c79ULL},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.name);
@@ -207,10 +246,12 @@ TEST(SyntheticWorldTest, WorldBitsArePinned) {
         d.groups.num_groups(), [&](int g) -> const std::vector<UserId>& {
           return d.groups.Members(g);
         });
+    const uint64_t truth = TruthDigest(world);
     EXPECT_EQ(user_item, pin.user_item) << std::hex << "0x" << user_item;
     EXPECT_EQ(group_item, pin.group_item) << std::hex << "0x" << group_item;
     EXPECT_EQ(social, pin.social) << std::hex << "0x" << social;
     EXPECT_EQ(members, pin.members) << std::hex << "0x" << members;
+    EXPECT_EQ(truth, pin.truth) << std::hex << "0x" << truth;
   }
 }
 
