@@ -10,7 +10,8 @@
 // Flags: --items=N --groups=N --users=N --threads=N --k=N --quick
 //        --sweep       (catalog-size sweep: exact vs IVF retrieval, below)
 //        --json=path   (machine-readable result record, see tools/bench.sh)
-//        Every N is a whole number >= 1; anything else exits 2.
+//        Every N is a whole number >= 1, and --items >= 3 (the smallest
+//        catalog the world generator accepts); anything else exits 2.
 //
 // --sweep additionally runs the sublinear-retrieval sweep: for each catalog
 // size in {2k, 100k, 1M} it builds a fresh world + model, times the
@@ -70,7 +71,7 @@ Flags ParseFlags(int argc, char** argv) {
       f.sweep = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
-    } else if (!ParseBenchIntFlag(arg, "--items", 1, INT_MAX, &f.items) &&
+    } else if (!ParseBenchIntFlag(arg, "--items", 3, INT_MAX, &f.items) &&
                !ParseBenchIntFlag(arg, "--groups", 1, INT_MAX, &f.groups) &&
                !ParseBenchIntFlag(arg, "--users", 1, INT_MAX, &f.users) &&
                !ParseBenchIntFlag(arg, "--threads", 1,

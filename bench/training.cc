@@ -13,7 +13,8 @@
 //
 // Flags: --users=N --items=N --groups=N --epochs=N --quick
 //        --json=path   (machine-readable result record, see tools/bench.sh)
-//        Every N is a whole number >= 1; anything else exits 2.
+//        Every N is a whole number >= 1, and --users and --items >= 3 (the
+//        smallest world the generator accepts); anything else exits 2.
 
 #include <algorithm>
 #include <climits>
@@ -56,8 +57,8 @@ Flags ParseFlags(int argc, char** argv) {
       f.quick = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       f.json = arg + 7;
-    } else if (!ParseBenchIntFlag(arg, "--users", 1, INT_MAX, &f.users) &&
-               !ParseBenchIntFlag(arg, "--items", 1, INT_MAX, &f.items) &&
+    } else if (!ParseBenchIntFlag(arg, "--users", 3, INT_MAX, &f.users) &&
+               !ParseBenchIntFlag(arg, "--items", 3, INT_MAX, &f.items) &&
                !ParseBenchIntFlag(arg, "--groups", 1, INT_MAX, &f.groups) &&
                !ParseBenchIntFlag(arg, "--epochs", 1, INT_MAX, &f.epochs)) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);

@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -82,12 +83,7 @@ int Rng::NextWeighted(const std::vector<double>& weights) {
 int Rng::NextWeighted(const std::vector<double>& weights, double total) {
   GROUPSA_CHECK(!weights.empty(), "NextWeighted requires weights");
   GROUPSA_CHECK(total > 0.0, "weights must have positive sum");
-  double r = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return static_cast<int>(i);
-  }
-  return static_cast<int>(weights.size()) - 1;
+  return WeightedScan(weights, NextDouble() * total);
 }
 
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
@@ -125,13 +121,49 @@ uint64_t Rng::StreamSeed(uint64_t seed, uint64_t stream) {
   return SplitMix64(&state);
 }
 
-std::vector<Rng> Rng::Split(uint64_t seed, int n) {
-  GROUPSA_CHECK(n >= 0, "Split requires a non-negative stream count");
-  std::vector<Rng> streams;
-  streams.reserve(n);
-  for (int i = 0; i < n; ++i)
-    streams.emplace_back(StreamSeed(seed, static_cast<uint64_t>(i)));
-  return streams;
+int WeightedScan(const std::vector<double>& weights, double r) {
+  for (size_t i = 0; i < weights.size(); ++i) {
+    r -= weights[i];
+    if (r <= 0.0) return static_cast<int>(i);
+  }
+  return static_cast<int>(weights.size()) - 1;
+}
+
+WeightedTable::WeightedTable(std::vector<double> weights)
+    : weights_(std::move(weights)) {
+  GROUPSA_CHECK(!weights_.empty(), "WeightedTable requires weights");
+  prefix_.reserve(weights_.size());
+  double total = 0.0;
+  for (const double w : weights_) {
+    GROUPSA_CHECK(w >= 0.0, "weights must be non-negative");
+    total += w;
+    prefix_.push_back(total);
+  }
+  GROUPSA_CHECK(total > 0.0 && std::isfinite(total),
+                "weights must have a positive, finite sum");
+  // Twice the rounding bound DESIGN.md §16 derives, 2n * 2^-53 * total:
+  // the slack covers the rounding of the distances compared with it.
+  guard_ = static_cast<double>(weights_.size() + 1) * 0x1p-51 * total;
+}
+
+int WeightedTable::Find(double r) {
+  // j = the first index with prefix_[j] >= r, by a branch-free binary
+  // search: a draw's comparisons are coin flips no predictor can learn.
+  const double* first = prefix_.data();
+  size_t len = prefix_.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    first += static_cast<size_t>(first[half - 1] < r) * half;
+    len -= half;
+  }
+  const size_t j = static_cast<size_t>(first - prefix_.data()) + (*first < r);
+  // The scan's first step compares r with weights_[0] == prefix_[0] exactly.
+  if (j == 0) return 0;
+  if (j < prefix_.size() && r - prefix_[j - 1] > guard_ &&
+      prefix_[j] - r > guard_)
+    return static_cast<int>(j);
+  ++fallbacks_;
+  return WeightedScan(weights_, r);
 }
 
 }  // namespace groupsa

@@ -72,16 +72,44 @@ class Rng {
   // on which thread runs the shard.
   static uint64_t StreamSeed(uint64_t seed, uint64_t stream);
 
-  // Splits `seed` into `n` independent generators, stream i seeded with
-  // StreamSeed(seed, i). Streams are reproducible (same seed and n give the
-  // same generators) and, by xoshiro's full-period state mixing, do not
-  // collide in practice.
-  static std::vector<Rng> Split(uint64_t seed, int n);
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
+};
+
+// The reference weighted draw, shared by NextWeighted and WeightedTable:
+// subtracts weights[0], weights[1], ... from `r` in turn and returns the
+// first index at which what is left of r reaches 0 or below, or the last
+// index if rounding never takes it there. NextWeighted passes r = one
+// NextDouble times the weights' total.
+int WeightedScan(const std::vector<double>& weights, double r);
+
+// A weight vector that is drawn from many times. Draw returns exactly the
+// index NextWeighted(weights) returns from the same generator state, and
+// consumes the same single NextDouble, but binary-searches prefix sums in
+// O(log n) instead of scanning. The prefix sums round differently from the
+// scan's running remainder, so a draw that lands within a rounding guard of
+// a prefix sum falls back to WeightedScan (DESIGN.md §16 has the bound).
+class WeightedTable {
+ public:
+  // Weights must be non-negative with a positive, finite sum.
+  explicit WeightedTable(std::vector<double> weights);
+
+  int Draw(Rng* rng) { return Find(rng->NextDouble() * total()); }
+  // The index WeightedScan(weights, r) returns, for r in [0, total()].
+  int Find(double r);
+
+  // The weights summed in index order, as NextWeighted sums them.
+  double total() const { return prefix_.back(); }
+  // Finds that fell back to the scan.
+  int64_t fallbacks() const { return fallbacks_; }
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> prefix_;  // prefix_[i] = weights_[0] + ... + weights_[i]
+  double guard_ = 0.0;
+  int64_t fallbacks_ = 0;
 };
 
 }  // namespace groupsa

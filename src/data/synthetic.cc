@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -178,19 +179,19 @@ SyntheticWorld GenerateWorld(const SyntheticWorldConfig& config) {
     }
     return w;
   };
-  // Each topic's popularity weights and their total, built once: the pools
-  // are fixed from here on and are drawn from hundreds of thousands of times.
-  std::vector<std::vector<double>> topic_item_w(topics);
-  std::vector<double> topic_item_total(topics, 0.0);
+  // Each topic's items as a popularity table, built once: the pools are
+  // fixed from here on and are drawn from hundreds of thousands of times. A
+  // table draws the index NextWeighted would (DESIGN.md §16).
+  std::vector<WeightedTable> topic_tables;
+  topic_tables.reserve(topics);
   for (int k = 0; k < topics; ++k) {
-    for (const ItemId v : topic_items[k]) {
-      topic_item_w[k].push_back(world.item_popularity[v]);
-      topic_item_total[k] += world.item_popularity[v];
-    }
+    std::vector<double> w;
+    w.reserve(topic_items[k].size());
+    for (const ItemId v : topic_items[k]) w.push_back(world.item_popularity[v]);
+    topic_tables.emplace_back(std::move(w));
   }
   auto sample_item_in_topic = [&](int k, Rng* r) {
-    return topic_items[k][r->NextWeighted(topic_item_w[k],
-                                          topic_item_total[k])];
+    return topic_items[k][topic_tables[k].Draw(r)];
   };
 
   // 4. Social network: homophilous degree-targeted edges.
@@ -301,18 +302,53 @@ SyntheticWorld GenerateWorld(const SyntheticWorldConfig& config) {
   // more consistently (concentration boost), making expertise identifiable
   // from observed behaviour (the paper's "food critic" is a heavy,
   // consistent rater).
-  EdgeList user_item;
-  std::vector<std::unordered_set<ItemId>> user_seen(config.num_users);
-  for (const Edge& e : group_item) {
-    for (UserId u : groups.Members(e.row)) {
-      if (user_seen[u].insert(e.item).second) user_item.push_back({u, e.item});
+  // A user's items are deduplicated with one per-item stamp array: while
+  // user u is processed, stamp[v] == u marks item v as already in u's row.
+  //
+  // (a) The echo, in group-item order, each (member, item) once. The echo
+  // candidates are bucketed by member, stably, so that each bucket lists a
+  // member's items in that order; a repeat within a bucket is struck out
+  // (-1), which keeps every first occurrence.
+  const int num_users = config.num_users;
+  std::vector<int> echo_start(num_users + 1, 0);
+  for (const Edge& e : group_item)
+    for (UserId u : groups.Members(e.row)) ++echo_start[u + 1];
+  for (int u = 0; u < num_users; ++u) echo_start[u + 1] += echo_start[u];
+  std::vector<ItemId> echo(echo_start[num_users]);
+  std::vector<int> cursor(echo_start.begin(), echo_start.end() - 1);
+  for (const Edge& e : group_item)
+    for (UserId u : groups.Members(e.row)) echo[cursor[u]++] = e.item;
+  std::vector<int> stamp(config.num_items, -1);
+  for (int u = 0; u < num_users; ++u) {
+    for (int s = echo_start[u]; s < echo_start[u + 1]; ++s) {
+      if (stamp[echo[s]] == u) {
+        echo[s] = -1;
+      } else {
+        stamp[echo[s]] = u;
+      }
     }
   }
-  for (int u = 0; u < config.num_users; ++u) {
+  EdgeList user_item;
+  std::copy(echo_start.begin(), echo_start.end() - 1, cursor.begin());
+  for (const Edge& e : group_item) {
+    for (UserId u : groups.Members(e.row)) {
+      if (echo[cursor[u]++] >= 0) user_item.push_back({u, e.item});
+    }
+  }
+  // (b) Solo draws. Each user's echo items are stamped again before that
+  // user's draws (a later user may have overwritten them), so a drawn item
+  // is added only if it is new to the user.
+  for (int u = 0; u < num_users; ++u) {
+    int echoed = 0;
+    for (int s = echo_start[u]; s < echo_start[u + 1]; ++s) {
+      if (echo[s] < 0) continue;
+      stamp[echo[s]] = u;
+      ++echoed;
+    }
     const bool expert = world.user_is_expert[u];
     const int count = DrawCount(
         std::max(1.0, config.avg_interactions_per_user * (expert ? 1.6 : 0.8) -
-                          static_cast<double>(user_seen[u].size())),
+                          static_cast<double>(echoed)),
         config.num_items / 2, &rng);
     std::vector<double> topic_w = topic_weights_for_vector(
         world.user_vectors, u,
@@ -324,7 +360,10 @@ SyntheticWorld GenerateWorld(const SyntheticWorldConfig& config) {
       } else {
         item = sample_item_in_topic(rng.NextWeighted(topic_w), &rng);
       }
-      if (user_seen[u].insert(item).second) user_item.push_back({u, item});
+      if (stamp[item] != u) {
+        stamp[item] = u;
+        user_item.push_back({u, item});
+      }
     }
   }
 

@@ -13,9 +13,9 @@
 #   tidy          clang-tidy over src/ (visible skip when not installed)
 #   bench         inference + training bench smokes (bit-parity gates)
 #                 and the bench int-flag gate (a malformed or out-of-range
-#                 --epochs, --items, --seed or --threads exits non-zero
-#                 naming the flag, in the timing benches and the paper-table
-#                 benches alike)
+#                 --epochs, --items, --users, --seed or --threads exits
+#                 non-zero naming the flag, in the timing benches and the
+#                 paper-table benches alike)
 #   serving       the repo benchmark's hot_exact_2k workload, --quick,
 #                 through the serving daemon: served answers 0-ULP against
 #                 a direct engine, request conservation, answers unchanged
@@ -52,8 +52,8 @@
 #   asan          fault-labelled tests, tensor-pool (with the trainer golden
 #                 and determinism suites), checkpoint, sparse-gradient
 #                 (grad-shard, row-grad, optimizer, embedding, graph-lint),
-#                 flat Top-H list, top-K selector and serving suites under
-#                 ASan
+#                 flat Top-H list, world generator (with the weighted-table
+#                 suite), top-K selector and serving suites under ASan
 #   tsan          race-labelled tests (thread pool, trainer shards, serving
 #                 stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
@@ -207,7 +207,8 @@ lane_bench() {
   # arguments. Read as a prefix, these values would run silently wrong:
   # --epochs=two as 0+0 epochs with a NaN speedup in the JSON (or, in a
   # paper-table bench, an untrained GroupSA row), --items=2k as a 2-item
-  # world, --seed=x3 as seed 0.
+  # world, --seed=x3 as seed 0. A world of 2 items or 2 users would abort
+  # in the generator's size check without naming the flag.
   local flag cmd rc err
   err="$(mktemp)"
   TMP_DIRS+=("${err}")
@@ -228,6 +229,9 @@ lane_bench() {
   done <<'EOF'
 epochs bench_training --epochs=two
 items bench_inference --items=2k
+items bench_inference --quick --items=2
+items bench_training --quick --items=2
+users bench_training --quick --users=2
 epochs bench_table5_joint_training --quick --epochs=two
 seed bench_table5_joint_training --quick --seed=x3
 threads bench_table5_joint_training --quick --threads=257
@@ -677,6 +681,12 @@ lane_asan() {
   # read by user modeling; ASan checks the row offsets (no label above).
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'TfIdfTest|IdListsTest|UserModelingTest'
+  echo "=== asan ctest (world generator and weighted tables) ==="
+  # The generator indexes a per-item stamp array, its echo buckets and each
+  # topic's prefix table (common/rng's WeightedTable) by raw ids; ASan
+  # checks those indices (no label above).
+  ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
+    -R 'SyntheticWorld|RngTest'
   echo "=== asan ctest (top-K selector) ==="
   # Every ranking path ends in core::TopKItems' k-bounded heap; ASan checks
   # its index arithmetic at k = 1, k past n and skip-everything (tests_core
