@@ -1,10 +1,13 @@
 #include <cmath>
+#include <cstring>
 
 #include "core/fast_recommender.h"
 
 #include <gtest/gtest.h>
 
+#include "baselines/static_agg.h"
 #include "core/test_fixtures.h"
+#include "core/topk.h"
 
 namespace groupsa::core {
 namespace {
@@ -47,6 +50,27 @@ TEST(FastRecommenderTest, SingleMemberEqualsUserScores) {
   const auto user_scores = model->ScoreItemsForUser(5, items);
   for (size_t i = 0; i < items.size(); ++i)
     EXPECT_NEAR(fast_scores[i], user_scores[i], 1e-9);
+}
+
+TEST(FastRecommenderTest, ScoresEqualGroupAverageBitForBit) {
+  const GroupSaConfig config = FastConfig();
+  const TinyFixture f = TinyFixture::Make(config);
+  auto model = f.MakeModel(config);
+  FastGroupRecommender fast(model.get());
+  const baselines::StaticAggRecommender average(
+      model.get(), baselines::ScoreAggregation::kAverage);
+  const std::vector<data::ItemId> items = AllItems(model->num_items());
+  for (const std::vector<data::UserId>& members :
+       {std::vector<data::UserId>{5}, std::vector<data::UserId>{0, 1, 2},
+        std::vector<data::UserId>{0, 1, 2, 3, 4, 5}}) {
+    const auto quick = fast.ScoreItemsForMembers(members, items);
+    const auto avg = average.ScoreItemsForMembers(members, items);
+    ASSERT_EQ(quick.size(), avg.size());
+    EXPECT_EQ(std::memcmp(quick.data(), avg.data(),
+                          sizeof(double) * quick.size()),
+              0)
+        << members.size() << " members";
+  }
 }
 
 TEST(FastRecommenderTest, RecommendTopKSortedAndSized) {

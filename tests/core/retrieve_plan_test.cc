@@ -19,11 +19,13 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/static_agg.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/fast_recommender.h"
 #include "core/inference_engine.h"
 #include "core/item_index.h"
+#include "core/topk.h"
 #include "data/synthetic.h"
 #include "data/tfidf.h"
 
@@ -281,6 +283,34 @@ TEST(RetrievePlanTest, TopTenBitsArePinned) {
               << "digest 0x" << std::hex << digest;
         }
       }
+    });
+  }
+}
+
+// The Group+avg top-10 of Answer's member list, one digest per config in
+// Configs() order: the members' averaged user scores over the catalog,
+// ranked with every member's train items skipped.
+constexpr uint64_t kGroupAverage[5] = {
+    0x6dc698b9d7c91836ULL, 0xec374a16bc215042ULL, 0x0627b63f504115d2ULL,
+    0x83c16c48f2a86a73ULL, 0x1845172a023db7e5ULL,
+};
+
+TEST(RetrievePlanTest, GroupAverageTopTenBitsArePinned) {
+  const std::vector<NamedConfig> configs = Configs();
+  const std::vector<data::UserId> members = {1, 4, 9};
+  for (size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE(configs[c].name);
+    World w(configs[c].config);
+    const baselines::StaticAggRecommender average(
+        w.model.get(), baselines::ScoreAggregation::kAverage);
+    const std::vector<data::ItemId> items = AllItems(w.model->num_items());
+    AtThreads(w, [&] {
+      const Ranking top =
+          TopKItems(items, average.ScoreItemsForMembers(members, items), 10,
+                    SeenByAny(&w.ui_train, members));
+      ASSERT_EQ(top.size(), 10u);
+      const uint64_t digest = Digest(top);
+      EXPECT_EQ(digest, kGroupAverage[c]) << "digest 0x" << std::hex << digest;
     });
   }
 }
