@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
   sw.Reset();
   std::vector<std::vector<double>> group_batched(groups.size());
   for (size_t i = 0; i < groups.size(); ++i)
-    group_batched[i] = model.ScoreItemsForGroup(groups[i], catalog);
+    group_batched[i] = model.inference().ScoreItemsForGroup(groups[i], catalog);
   const double group_batched_s = sw.ElapsedSeconds();
 
   bool identical = true;
@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
   sw.Reset();
   std::vector<std::vector<double>> user_batched(users.size());
   for (size_t i = 0; i < users.size(); ++i)
-    user_batched[i] = model.ScoreItemsForUser(users[i], catalog);
+    user_batched[i] = model.inference().ScoreItemsForUser(users[i], catalog);
   const double user_batched_s = sw.ElapsedSeconds();
 
   for (size_t i = 0; i < users.size(); ++i)
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
   // ---- warm-cache top-K (the serving steady state) ----
   sw.Reset();
   for (data::GroupId g : groups) {
-    const auto top = model.RecommendForGroup(g, flags.k, nullptr);
+    const auto top = model.inference().RecommendForGroup(g, flags.k, nullptr);
     if (top.empty()) std::abort();
   }
   const double topk_warm_s = sw.ElapsedSeconds();

@@ -4,7 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/fast_recommender.h"
+#include "baselines/static_agg.h"
+#include "core/inference_engine.h"
 #include "core/trainer.h"
 #include "pipeline/experiment.h"
 
@@ -64,14 +65,14 @@ void BM_GroupForward(benchmark::State& state) {
 BENCHMARK(BM_GroupForward)->Arg(3)->Arg(6)->Arg(12);
 
 // The Sec. II-F comparison: scoring 100 candidates through the full voting
-// path vs the fast average-of-member-scores path.
+// path vs the fast average-of-member-scores path (Group+avg).
 void BM_FullGroupScoring100(benchmark::State& state) {
   auto& w = World();
   const auto members = MembersOfSize(static_cast<int>(state.range(0)));
   std::vector<data::ItemId> items(100);
   for (int i = 0; i < 100; ++i) items[i] = i % w.data.num_items();
   for (auto _ : state) {
-    auto scores = w.model->ScoreItemsForMembers(members, items);
+    auto scores = w.model->inference().ScoreItemsForMembers(members, items);
     benchmark::DoNotOptimize(scores.data());
   }
 }
@@ -79,7 +80,8 @@ BENCHMARK(BM_FullGroupScoring100)->Arg(3)->Arg(6)->Arg(12);
 
 void BM_FastGroupScoring100(benchmark::State& state) {
   auto& w = World();
-  core::FastGroupRecommender fast(w.model.get());
+  const baselines::StaticAggRecommender fast(
+      w.model.get(), baselines::ScoreAggregation::kAverage);
   const auto members = MembersOfSize(static_cast<int>(state.range(0)));
   std::vector<data::ItemId> items(100);
   for (int i = 0; i < 100; ++i) items[i] = i % w.data.num_items();

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/stopwatch.h"
+#include "core/inference_engine.h"
 #include "pipeline/experiment.h"
 
 using namespace groupsa;
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
 
   const eval::Scorer scorer = [&](int32_t entity,
                                   const std::vector<data::ItemId>& items) {
-    return model->ScoreItemsForGroup(entity, items);
+    return model->inference().ScoreItemsForGroup(entity, items);
   };
   struct Bin {
     const char* label;

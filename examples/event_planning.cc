@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "core/inference_engine.h"
 #include "pipeline/experiment.h"
 
 using namespace groupsa;
@@ -50,7 +51,8 @@ int main(int argc, char** argv) {
     // events with the per-member influence on the winning event.
     std::vector<data::ItemId> all_items(data.num_items());
     for (int v = 0; v < data.num_items(); ++v) all_items[v] = v;
-    const auto scores = model->ScoreItemsForMembers(members, all_items);
+    const auto scores =
+        model->inference().ScoreItemsForMembers(members, all_items);
     std::vector<std::pair<data::ItemId, double>> ranked;
     for (size_t v = 0; v < scores.size(); ++v)
       ranked.emplace_back(static_cast<data::ItemId>(v), scores[v]);

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "core/inference_engine.h"
 #include "core/trainer.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -66,7 +67,7 @@ int main() {
   eval::EvalResult result = eval::EvaluateRanking(
       cases,
       [&](int32_t group, const std::vector<data::ItemId>& items) {
-        return model.ScoreItemsForGroup(group, items);
+        return model.inference().ScoreItemsForGroup(group, items);
       },
       {5, 10});
   std::printf("\ngroup task: %s\n", result.ToString().c_str());
@@ -76,7 +77,8 @@ int main() {
   for (data::UserId u : world.dataset.groups.Members(0))
     std::printf(" %d", u);
   std::printf("):\n");
-  for (const auto& [item, score] : model.RecommendForGroup(0, 5, &gi_all))
+  for (const auto& [item, score] :
+       model.inference().RecommendForGroup(0, 5, &gi_all))
     std::printf("  item #%-4d score %.3f\n", item, score);
 
   // 7. ...and for a brand-new ad-hoc group (the OGR setting): no group id,
@@ -85,7 +87,7 @@ int main() {
   std::printf("\nTop-5 for the ad-hoc group {5, 17, 101}:\n");
   std::vector<data::ItemId> all_items(world.dataset.num_items);
   for (int v = 0; v < world.dataset.num_items; ++v) all_items[v] = v;
-  auto scores = model.ScoreItemsForMembers(ad_hoc, all_items);
+  auto scores = model.inference().ScoreItemsForMembers(ad_hoc, all_items);
   std::vector<std::pair<data::ItemId, double>> ranked;
   for (size_t v = 0; v < scores.size(); ++v)
     ranked.emplace_back(static_cast<data::ItemId>(v), scores[v]);

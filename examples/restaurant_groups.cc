@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "core/inference_engine.h"
 #include "pipeline/experiment.h"
 
 using namespace groupsa;
@@ -75,7 +76,8 @@ int main(int argc, char** argv) {
     std::printf("\ngroup #%d (size %zu) — Top-5 restaurants:\n", g,
                 members.size());
     const data::InteractionMatrix gi_all = world.dataset.GroupItemMatrix();
-    for (const auto& [item, score] : model->RecommendForGroup(g, 5, &gi_all))
+    for (const auto& [item, score] :
+         model->inference().RecommendForGroup(g, 5, &gi_all))
       std::printf("  restaurant #%-4d (topic %d) score %.3f\n", item,
                   world.item_topic[item], score);
     break;

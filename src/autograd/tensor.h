@@ -21,10 +21,10 @@ class Tensor {
   const tensor::Matrix& value() const { return value_; }
   // Mutable access bumps `value_version()`. Every code path that rewrites a
   // parameter's values — optimizer steps, (re-)initialization, checkpoint
-  // restore, Embedding::SetTable, finite-difference perturbation — goes
-  // through here, which is what lets representation caches (e.g.
-  // core::InferenceEngine) detect staleness without hooks at every call
-  // site. Forward ops never take mutable access to their inputs.
+  // restore, finite-difference perturbation — goes through here, which is
+  // what lets representation caches (e.g. core::InferenceEngine) detect
+  // staleness without hooks at every call site. Forward ops never take
+  // mutable access to their inputs.
   tensor::Matrix& mutable_value() {
     ++value_version_;
     return value_;

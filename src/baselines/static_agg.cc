@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "core/inference_engine.h"
 
 namespace groupsa::baselines {
 
@@ -58,8 +59,8 @@ std::vector<double> StaticAggRecommender::ScoreItemsForGroup(
 std::vector<double> StaticAggRecommender::ScoreItemsForMembers(
     const std::vector<data::UserId>& members,
     const std::vector<data::ItemId>& items) const {
-  return AggregateMemberScores(model_->MemberItemScores(members, items),
-                               aggregation_);
+  return AggregateMemberScores(
+      model_->inference().MemberItemScores(members, items), aggregation_);
 }
 
 }  // namespace groupsa::baselines

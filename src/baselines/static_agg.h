@@ -25,7 +25,9 @@ std::vector<double> AggregateMemberScores(
     const std::vector<std::vector<double>>& member_scores,
     ScoreAggregation aggregation);
 
-// Group scorer over a trained GroupSA model.
+// Group scorer over a trained GroupSA model. Group+avg is also the paper's
+// Sec. II-F fast path: the members' blended user scores (Eq. 23), averaged,
+// with no voting-network pass per candidate item.
 class StaticAggRecommender {
  public:
   StaticAggRecommender(core::GroupSaModel* model,

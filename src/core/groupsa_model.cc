@@ -155,28 +155,6 @@ GroupSaModel::GroupItemScore GroupSaModel::ScoreGroupItem(
   return out;
 }
 
-std::vector<double> GroupSaModel::ScoreItemsForUser(
-    data::UserId user, const std::vector<data::ItemId>& items) {
-  return inference_->ScoreItemsForUser(user, items);
-}
-
-std::vector<double> GroupSaModel::ScoreItemsForGroup(
-    data::GroupId group, const std::vector<data::ItemId>& items) {
-  return inference_->ScoreItemsForGroup(group, items);
-}
-
-std::vector<double> GroupSaModel::ScoreItemsForMembers(
-    const std::vector<data::UserId>& members,
-    const std::vector<data::ItemId>& items) {
-  return inference_->ScoreItemsForMembers(members, items);
-}
-
-std::vector<std::vector<double>> GroupSaModel::MemberItemScores(
-    const std::vector<data::UserId>& members,
-    const std::vector<data::ItemId>& items) {
-  return inference_->MemberItemScores(members, items);
-}
-
 std::vector<double> GroupSaModel::ScoreItemsForUserPerItem(
     data::UserId user, const std::vector<data::ItemId>& items) {
   UserForward fwd =
@@ -293,16 +271,6 @@ Status GroupSaModel::ValidateGraph() {
   // receiving a gradient.
   options.check_unreached_params = true;
   return analysis::ValidateTape(tape, options);
-}
-
-std::vector<std::pair<data::ItemId, double>> GroupSaModel::RecommendForGroup(
-    data::GroupId group, int k, const data::InteractionMatrix* exclude) {
-  return inference_->RecommendForGroup(group, k, exclude);
-}
-
-std::vector<std::pair<data::ItemId, double>> GroupSaModel::RecommendForUser(
-    data::UserId user, int k, const data::InteractionMatrix* exclude) {
-  return inference_->RecommendForUser(user, k, exclude);
 }
 
 }  // namespace groupsa::core

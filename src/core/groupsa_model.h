@@ -2,7 +2,6 @@
 #define GROUPSA_CORE_GROUPSA_MODEL_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -12,7 +11,6 @@
 #include "core/voting_scheme.h"
 #include "data/group_table.h"
 #include "data/id_lists.h"
-#include "data/interaction_matrix.h"
 #include "data/social_graph.h"
 #include "nn/embedding.h"
 
@@ -88,22 +86,11 @@ class GroupSaModel : public nn::Module {
 
   // ---------------- Inference (no-tape) scoring ----------------
 
-  // Scores `items` for a user / group; higher = more preferred. These
-  // delegate to the batched InferenceEngine (see inference_engine.h): one
-  // cached representation per entity, one GEMM pass over all candidates.
-  std::vector<double> ScoreItemsForUser(data::UserId user,
-                                        const std::vector<data::ItemId>& items);
-  std::vector<double> ScoreItemsForGroup(
-      data::GroupId group, const std::vector<data::ItemId>& items);
-  std::vector<double> ScoreItemsForMembers(
-      const std::vector<data::UserId>& members,
-      const std::vector<data::ItemId>& items);
-
   // Per-item reference implementations (one tape-free autograd forward per
-  // candidate). The engine's batched scores are bit-identical to these; they
-  // stay as the parity oracle and as the direct analogue of the training
-  // graph. O(items) scalar forwards — use the batched entry points above for
-  // anything catalog-sized.
+  // candidate). The batched scores of inference() are bit-identical to
+  // these; they stay as the parity oracle and as the direct analogue of the
+  // training graph. O(items) scalar forwards — use inference() for anything
+  // catalog-sized.
   std::vector<double> ScoreItemsForUserPerItem(
       data::UserId user, const std::vector<data::ItemId>& items);
   std::vector<double> ScoreItemsForGroupPerItem(
@@ -112,24 +99,9 @@ class GroupSaModel : public nn::Module {
       const std::vector<data::UserId>& members,
       const std::vector<data::ItemId>& items);
 
-  // Per-member score matrix [member][item] via the blended user score; the
-  // substrate of the fast recommender (Sec. II-F) and the static score
-  // aggregation baselines (Group+avg/lm/ms).
-  std::vector<std::vector<double>> MemberItemScores(
-      const std::vector<data::UserId>& members,
-      const std::vector<data::ItemId>& items);
-
   // Detailed single-pair scoring for the Table IV case study.
   GroupItemScore ScoreGroupItemDetailed(data::GroupId group,
                                         data::ItemId item);
-
-  // Full-catalog Top-K recommendation; items observed in `exclude` (pass the
-  // all-interactions matrix) are skipped. Returns (item, score) sorted by
-  // descending score.
-  std::vector<std::pair<data::ItemId, double>> RecommendForGroup(
-      data::GroupId group, int k, const data::InteractionMatrix* exclude);
-  std::vector<std::pair<data::ItemId, double>> RecommendForUser(
-      data::UserId user, int k, const data::InteractionMatrix* exclude);
 
   // ---------------- Static validation ----------------
 
@@ -148,8 +120,9 @@ class GroupSaModel : public nn::Module {
   nn::Embedding& item_embedding() { return *item_emb_; }
   const ModelData& model_data() const { return data_; }
 
-  // The batched serving path; owned by the model so every consumer of the
-  // inference entry points above shares one representation cache.
+  // The batched scorers and top-K (see inference_engine.h): one cached
+  // representation per entity, one GEMM pass over all candidates. Owned by
+  // the model so every consumer shares one representation cache.
   InferenceEngine& inference() { return *inference_; }
 
   // ---------------- Component access (inference engine) ----------------

@@ -164,21 +164,6 @@ uint64_t RepKey(QueryKind kind, int32_t id, ScoreMode precision) {
 }
 uint64_t TagOf(uint64_t key) { return key >> 32; }
 
-// The Sec. II-F member average: the members' score vectors summed in member
-// order from +0.0, then divided by n. Every stage of a member-average query
-// (IVF coarse scoring, int8 scan, exact re-rank) averages through here.
-template <typename Rep, typename ScoreFn>
-std::vector<double> MemberMean(const std::vector<Rep>& members, size_t rows,
-                               const ScoreFn& score) {
-  std::vector<double> mean(rows, 0.0);
-  for (const Rep& member : members) {
-    const std::vector<double> scores = score(member);
-    for (size_t i = 0; i < rows; ++i) mean[i] += scores[i];
-  }
-  for (double& s : mean) s /= static_cast<double>(members.size());
-  return mean;
-}
-
 }  // namespace
 
 InferenceEngine::InferenceEngine(GroupSaModel* model) : model_(model) {
@@ -224,30 +209,15 @@ void InferenceEngine::set_topk_mode(TopKMode mode) {
   topk_mode_ = mode;
 }
 
-TopKMode InferenceEngine::topk_mode() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return topk_mode_;
-}
-
 void InferenceEngine::set_index_config(const ItemIndexConfig& config) {
   std::unique_lock<DebugSharedMutex> lock(mu_);
   index_config_ = config;
   ivf_.reset();
 }
 
-ItemIndexConfig InferenceEngine::index_config() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return index_config_;
-}
-
 void InferenceEngine::set_score_mode(ScoreMode mode) {
   std::unique_lock<DebugSharedMutex> lock(mu_);
   score_mode_ = mode;
-}
-
-ScoreMode InferenceEngine::score_mode() const {
-  std::shared_lock<DebugSharedMutex> lock(mu_);
-  return score_mode_;
 }
 
 void InferenceEngine::set_int8_config(const Int8Config& config) {
@@ -502,10 +472,7 @@ InferenceEngine::Query InferenceEngine::BuildQuery(
   query.kind = kind;
   switch (kind) {
     case QueryKind::kUser:
-    case QueryKind::kMemberAverage:
-      for (data::UserId user : ids)
-        query.users.push_back(
-            SplitUserRows(GetRep(QueryKind::kUser, user, precision)));
+      query.user = SplitUserRows(GetRep(QueryKind::kUser, ids[0], precision));
       break;
     case QueryKind::kGroup:
       query.voting = GetRep(QueryKind::kGroup, ids[0], precision);
@@ -518,24 +485,6 @@ InferenceEngine::Query InferenceEngine::BuildQuery(
       break;
   }
   return query;
-}
-
-template <typename UserFn, typename VotingFn>
-std::vector<double> InferenceEngine::ScoreQuery(const Query& query,
-                                                size_t rows,
-                                                const UserFn& user,
-                                                const VotingFn& voting) {
-  switch (query.kind) {
-    case QueryKind::kUser:
-      return user(query.users[0]);
-    case QueryKind::kGroup:
-    case QueryKind::kMembers:
-      return voting(query.voting);
-    case QueryKind::kMemberAverage:
-      return MemberMean(query.users, rows, user);
-  }
-  GROUPSA_CHECK(false, "unknown query kind");
-  return {};
 }
 
 InferenceEngine::Ranking InferenceEngine::Retrieve(const Query& query,
@@ -561,10 +510,10 @@ InferenceEngine::Ranking InferenceEngine::Retrieve(const Query& query,
   const bool shortlisted = plan.score == ScoreMode::kInt8;
   if (shortlisted) {
     const auto qs = GetQuantState();
-    const std::vector<double> scan = ScoreQuery(
-        query, candidates.size(),
-        [&](const UserRep& rep) { return ScanUser(rep, *qs, candidates); },
-        [&](const Matrix& reps) { return ScanVoting(reps, *qs, candidates); });
+    const std::vector<double> scan =
+        query.kind == QueryKind::kUser
+            ? ScanUser(query.user, *qs, candidates)
+            : ScanVoting(query.voting, *qs, candidates);
     std::vector<data::ItemId> shortlist;
     for (const auto& entry : TopKItems(candidates, scan,
                                        std::max(k, plan.rerank_k), skip))
@@ -580,7 +529,8 @@ InferenceEngine::Ranking InferenceEngine::Retrieve(const Query& query,
 
 InferenceEngine::Ranking InferenceEngine::Recommend(
     QueryKind kind, const std::vector<int32_t>& ids, int k,
-    const data::InteractionMatrix* exclude, const Plan& plan) {
+    const data::InteractionMatrix* exclude) {
+  const Plan plan = EnginePlan();
   return Retrieve(BuildQuery(kind, ids, plan.score), plan, k,
                   SeenByAny(exclude, ids));
 }
@@ -588,12 +538,9 @@ InferenceEngine::Ranking InferenceEngine::Recommend(
 std::vector<double> InferenceEngine::ScoreRows(
     const Query& query, const std::vector<data::ItemId>& rows,
     const SplitWeights& sw, const ItemTables& tables) const {
-  return ScoreQuery(
-      query, rows.size(),
-      [&](const UserRep& rep) { return ScoreBatchUser(rep, rows, sw, tables); },
-      [&](const Matrix& reps) {
-        return ScoreBatchGroup(reps, rows, sw, tables);
-      });
+  return query.kind == QueryKind::kUser
+             ? ScoreBatchUser(query.user, rows, sw, tables)
+             : ScoreBatchGroup(query.voting, rows, sw, tables);
 }
 
 std::vector<double> InferenceEngine::Score(
@@ -983,18 +930,18 @@ std::vector<std::vector<double>> InferenceEngine::MemberItemScores(
 
 InferenceEngine::Ranking InferenceEngine::RecommendForUser(
     data::UserId user, int k, const data::InteractionMatrix* exclude) {
-  return Recommend(QueryKind::kUser, {user}, k, exclude, EnginePlan());
+  return Recommend(QueryKind::kUser, {user}, k, exclude);
 }
 
 InferenceEngine::Ranking InferenceEngine::RecommendForGroup(
     data::GroupId group, int k, const data::InteractionMatrix* exclude) {
-  return Recommend(QueryKind::kGroup, {group}, k, exclude, EnginePlan());
+  return Recommend(QueryKind::kGroup, {group}, k, exclude);
 }
 
 InferenceEngine::Ranking InferenceEngine::RecommendForMembers(
     const std::vector<data::UserId>& members, int k,
     const data::InteractionMatrix* exclude) {
-  return Recommend(QueryKind::kMembers, members, k, exclude, EnginePlan());
+  return Recommend(QueryKind::kMembers, members, k, exclude);
 }
 
 Status InferenceEngine::ValidateRequest(QueryKind kind,

@@ -14,21 +14,20 @@
 #include "core/groupsa_model.h"
 #include "core/item_index.h"
 #include "core/quantized.h"
+#include "data/interaction_matrix.h"
 
 namespace groupsa::core {
 
-// What a request scores items for. kUser, kGroup and kMembers are the
-// engine's own RecommendFor{User,Group,Members}: a user rep, or the voting
-// stack over a stored group's or an ad-hoc list's members. kMemberAverage
-// is the Sec. II-F fast path (FastGroupRecommender): the mean of the
-// members' user scores.
-enum class QueryKind { kUser, kGroup, kMembers, kMemberAverage };
+// What a request scores items for, one kind per RecommendFor{User,Group,
+// Members}: a user rep, or the voting stack over a stored group's or an
+// ad-hoc list's members.
+enum class QueryKind { kUser, kGroup, kMembers };
 
 // The one request rule set. `ids` holds the one user or group id for kUser /
-// kGroup and the member list for kMembers / kMemberAverage. A request needs
-// k >= 1, an id inside [0, num_users) or [0, num_groups), and a non-empty
-// list of distinct members inside [0, num_users); the first broken rule comes
-// back as the error. Every front end binds it to its id spaces:
+// kGroup and the member list for kMembers. A request needs k >= 1, an id
+// inside [0, num_users) or [0, num_groups), and a non-empty list of distinct
+// members inside [0, num_users); the first broken rule comes back as the
+// error. Every front end binds it to its id spaces:
 // InferenceEngine::ValidateRequest to the model's, serve::Server to its
 // constructor's.
 Status ValidateQuery(QueryKind kind, const std::vector<int32_t>& ids, int k,
@@ -66,11 +65,11 @@ Status ValidateQuery(QueryKind kind, const std::vector<int32_t>& ids, int k,
 // Cache lifetime: every cached representation is stamped with the model's
 // parameter version — the sum of ag::Tensor::value_version() over all
 // parameters, which advances on any mutable value access (optimizer steps,
-// checkpoint restore, SetTable, re-initialization). Each public call
-// revalidates the stamp and drops every cached entry on mismatch, so a
-// stale representation can never survive a parameter update. No explicit
-// hook is needed at optimizer call sites, but InvalidateAll() is available
-// for callers that want eager reclamation (e.g. at epoch boundaries).
+// checkpoint restore, re-initialization). Each public call revalidates the
+// stamp and drops every cached entry on mismatch, so a stale representation
+// can never survive a parameter update. No explicit hook is needed at
+// optimizer call sites, but InvalidateAll() is available for callers that
+// want eager reclamation (e.g. at epoch boundaries).
 //
 // Thread-safety: all public methods may be called concurrently (the
 // evaluator fans ranking cases across the thread pool). Cache reads take a
@@ -93,6 +92,9 @@ class InferenceEngine {
   std::vector<double> ScoreItemsForMembers(
       const std::vector<data::UserId>& members,
       const std::vector<data::ItemId>& items);
+  // Per-member score matrix [member][item] via the blended user score
+  // (Eq. 23): the substrate of the static score aggregation baselines
+  // (Group+avg/lm/ms), of which Group+avg is the Sec. II-F fast path.
   std::vector<std::vector<double>> MemberItemScores(
       const std::vector<data::UserId>& members,
       const std::vector<data::ItemId>& items);
@@ -137,10 +139,8 @@ class InferenceEngine {
   // generation off the serving path) to keep the build cost off requests.
   // Setters are setup-time calls: they must not race with in-flight scoring.
   void set_topk_mode(TopKMode mode);
-  TopKMode topk_mode() const;
   // Replaces the index build/query knobs and drops any built index.
   void set_index_config(const ItemIndexConfig& config);
-  ItemIndexConfig index_config() const;
   // The current-parameter-version index, built on first use. The pointer
   // stays valid across invalidation (shared ownership); it just stops being
   // the engine's current index.
@@ -169,7 +169,6 @@ class InferenceEngine {
   // mode; the int8 scan still replaces the full-catalog FP32 pass.
   // Setters are setup-time calls: they must not race with in-flight scoring.
   void set_score_mode(ScoreMode mode);
-  ScoreMode score_mode() const;
   void set_int8_config(const Int8Config& config);
 
   // Quantized item-side tables plus the reference rows the linearization is
@@ -210,10 +209,6 @@ class InferenceEngine {
   size_t Fp32UserCacheBytes() const;
 
  private:
-  // The Sec. II-F recommender runs its member-average queries through the
-  // same pipeline under its own modes.
-  friend class FastGroupRecommender;
-
   using SkipFn = std::function<bool(data::ItemId)>;
 
   // Item-independent per-user state: emb_j^U and (when user modeling is on)
@@ -257,8 +252,7 @@ class InferenceEngine {
   ItemTables CatalogTables(const SplitWeights& sw) const;
 
   // ---------------- The retrieval pipeline --------------------------------
-  // A plan is read once per request from the mode setters: the engine's
-  // own for Recommend*, FastGroupRecommender's for the member average. Its
+  // A plan is read once per request from the mode setters (EnginePlan). Its
   // stages: candidates (the catalog, or an IVF probe over the centroid
   // tables) -> an optional int8 shortlist of max(k, rerank_k) -> an exact
   // re-rank -> TopKItems. The score mode is also the precision the query's
@@ -270,13 +264,11 @@ class InferenceEngine {
   };
   Plan EnginePlan() const;
 
-  // A query scores a batch of rows from an item-side table. kUser holds
-  // one user rep and kMemberAverage one per member (their scores are
-  // averaged by MemberMean in every stage); kGroup / kMembers hold the
-  // voting-stack rep.
+  // A query scores a batch of rows from an item-side table. kUser holds a
+  // user rep; kGroup / kMembers hold the voting-stack rep.
   struct Query {
     QueryKind kind = QueryKind::kUser;
-    std::vector<UserRep> users;
+    UserRep user;
     tensor::Matrix voting;  // l x d
   };
   // Reps read at `precision` (cached ones dequantized under kInt8); an
@@ -287,10 +279,11 @@ class InferenceEngine {
   // Query -> ranking under `plan`. Returned scores are exact re-rank bits.
   Ranking Retrieve(const Query& query, const Plan& plan, int k,
                    const SkipFn& skip);
-  // Retrieve for `kind` over `ids`, skipping items any of `ids` has seen in
-  // `exclude` (the user row, the group row, or every member's user row).
+  // Retrieve for `kind` over `ids` under EnginePlan(), skipping items any of
+  // `ids` has seen in `exclude` (the user row, the group row, or every
+  // member's user row).
   Ranking Recommend(QueryKind kind, const std::vector<int32_t>& ids, int k,
-                    const data::InteractionMatrix* exclude, const Plan& plan);
+                    const data::InteractionMatrix* exclude);
   // Exact catalog scores of `items` for `kind` over `ids` (FP32 reps).
   std::vector<double> Score(QueryKind kind, const std::vector<int32_t>& ids,
                             const std::vector<data::ItemId>& items);
@@ -300,12 +293,6 @@ class InferenceEngine {
                                 const std::vector<data::ItemId>& rows,
                                 const SplitWeights& sw,
                                 const ItemTables& tables) const;
-  // One stage's scores for `query`: `user` scores a user rep, `voting` a
-  // voting-stack rep, and kMemberAverage takes the MemberMean of `user`.
-  template <typename UserFn, typename VotingFn>
-  static std::vector<double> ScoreQuery(const Query& query, size_t rows,
-                                        const UserFn& user,
-                                        const VotingFn& voting);
 
   // ---------------- Representations and their cache ----------------------
   // Cached lookup at `precision`, building (and inserting) on miss; kUser

@@ -19,6 +19,13 @@ namespace {
 // the global pool. 256 rows of a 32-wide table is 32 KB, about an L1.
 constexpr int64_t kAssignTileRows = 256;
 
+// Lloyd iterations over the training sample (an iteration that moves no
+// assignment stops early).
+constexpr int kTrainIters = 8;
+
+// Seed of the one rng stream behind the sample and k-means++ draws.
+constexpr uint64_t kBuildSeed = 0x1DEA5EEDULL;
+
 int ResolveNlist(int requested, int num_items) {
   int nlist = requested;
   if (nlist <= 0) {
@@ -176,7 +183,7 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
   index.default_nprobe_ = ResolveNprobe(config.nprobe, nlist);
   const int sample_size = ResolveTrainSample(config.train_sample, nlist, n);
 
-  Rng rng(Rng::StreamSeed(config.seed, 0));
+  Rng rng(Rng::StreamSeed(kBuildSeed, 0));
 
   // Training sample: a deterministic without-replacement draw, gathered in
   // ascending row order (the draw order must not leak into the result).
@@ -194,7 +201,7 @@ ItemIndex ItemIndex::Build(const tensor::Matrix& vectors,
   tensor::Matrix centroids_t;
   std::vector<int> assign;
   std::vector<int> prev_assign;
-  for (int iter = 0; iter < config.train_iters; ++iter) {
+  for (int iter = 0; iter < kTrainIters; ++iter) {
     tensor::TransposeInto(index.centroids_, &centroids_t);
     AssignNearest(*train, centroids_t, HalfSquaredNorms(index.centroids_),
                   &assign);

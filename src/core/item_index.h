@@ -34,24 +34,19 @@ struct ItemIndexConfig {
   // least min(4, nlist). nprobe >= nlist degenerates to exact search over
   // the whole catalog (the parity mode).
   int nprobe = 0;
-  // Lloyd iterations over the training sample (an iteration that moves no
-  // assignment stops early).
-  int train_iters = 8;
   // Rows the quantizer trains on; the final assignment pass always covers
   // the full catalog. 0 = auto: min(items, max(24 * nlist, 16384)).
   int train_sample = 0;
-  // Seed for the k-means++ / sampling draws. All randomness flows through
-  // one common/rng stream derived from this, so a build is a pure function
-  // of (vectors, config) at any thread count.
-  uint64_t seed = 0x1DEA5EEDULL;
 };
 
 // Coarse k-means quantizer + inverted lists over the item representation
 // table — the candidate-generation stage in front of the exact batched
 // scorer (see TopKMode::kIvf and DESIGN.md "Sublinear retrieval").
 //
-// Build: k-means++ seeding and Lloyd iterations run on a deterministic
-// row sample; the trained quantizer then assigns every catalog item to its
+// Build: k-means++ seeding and at most eight Lloyd iterations run on a
+// deterministic row sample, with every draw from one fixed-seed common/rng
+// stream, so a build is a pure function of (vectors, config) at any thread
+// count; the trained quantizer then assigns every catalog item to its
 // nearest centroid (ties to the lowest centroid id) in one pass over the
 // catalog. Nearest-centroid search is expressed as
 // argmax_j(x·c_j - ||c_j||²/2) and runs in the dispatched

@@ -38,19 +38,14 @@ QuantizedRows QuantizeRows(const tensor::Matrix& m) {
   return q;
 }
 
-void QuantizedRows::DequantizeInto(tensor::Matrix* out) const {
-  out->Resize(rows, cols);
+tensor::Matrix QuantizedRows::Dequantize() const {
+  tensor::Matrix out(rows, cols);
   for (int r = 0; r < rows; ++r) {
     const int8_t* src = RowPtr(r);
     const float s = scale(r);
-    float* dst = out->RowPtr(r);
+    float* dst = out.RowPtr(r);
     for (int j = 0; j < cols; ++j) dst[j] = static_cast<float>(src[j]) * s;
   }
-}
-
-tensor::Matrix QuantizedRows::Dequantize() const {
-  tensor::Matrix out;
-  DequantizeInto(&out);
   return out;
 }
 

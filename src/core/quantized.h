@@ -53,7 +53,6 @@ struct QuantizedRows {
   }
 
   tensor::Matrix Dequantize() const;
-  void DequantizeInto(tensor::Matrix* out) const;
 };
 
 // Quantizes one d-column row into `out` (size >= cols); returns the scale.

@@ -19,10 +19,4 @@ ag::TensorPtr Embedding::Lookup(ag::Tape* tape, int id) {
   return Forward(tape, {id});
 }
 
-void Embedding::SetTable(const tensor::Matrix& values) {
-  GROUPSA_CHECK(values.SameShape(table_->value()),
-                "SetTable shape mismatch");
-  table_->mutable_value() = values;
-}
-
 }  // namespace groupsa::nn

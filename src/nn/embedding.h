@@ -33,10 +33,6 @@ class Embedding : public Module {
   // The table's gradient: the rows touched since the last optimizer step.
   const ag::RowGrad& row_grad() const { return row_grad_; }
 
-  // Overwrites the table values (used by the joint-training hand-off that
-  // initializes the group task from stage-1 embeddings, Sec. II-E).
-  void SetTable(const tensor::Matrix& values);
-
  private:
   ag::TensorPtr table_;
   ag::RowGrad row_grad_;

@@ -8,6 +8,7 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "core/inference_engine.h"
 #include "data/tfidf.h"
 
 namespace groupsa::pipeline {
@@ -80,13 +81,13 @@ ModelScores ScoreGroupSa(core::GroupSaModel* model,
   scores.user = EvalUser(
       data,
       [&](int32_t entity, const std::vector<data::ItemId>& items) {
-        return model->ScoreItemsForUser(entity, items);
+        return model->inference().ScoreItemsForUser(entity, items);
       },
       options);
   scores.group = EvalGroup(
       data,
       [&](int32_t entity, const std::vector<data::ItemId>& items) {
-        return model->ScoreItemsForGroup(entity, items);
+        return model->inference().ScoreItemsForGroup(entity, items);
       },
       options);
   return scores;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/inference_engine.h"
+#include "core/test_fixtures.h"
+
 namespace groupsa::baselines {
 namespace {
+
+using core::testing::TinyFixture;
 
 TEST(StaticAggTest, AverageIsMean) {
   const std::vector<std::vector<double>> scores = {{1, 4}, {3, 2}};
@@ -56,6 +61,46 @@ TEST(StaticAggTest, OrderingInvariant) {
     EXPECT_LE(lo[i], mid[i]);
     EXPECT_LE(mid[i], hi[i]);
   }
+}
+
+core::GroupSaConfig SmallConfig() {
+  core::GroupSaConfig c = core::GroupSaConfig::Default();
+  c.embedding_dim = 8;
+  c.attention_hidden = 8;
+  c.ffn_hidden = 8;
+  c.predictor_hidden = {8};
+  c.fusion_hidden = {8};
+  return c;
+}
+
+// Group+avg is the Sec. II-F fast path: the mean of the members' blended
+// user scores.
+TEST(StaticAggRecommenderTest, AveragesMemberScores) {
+  const core::GroupSaConfig config = SmallConfig();
+  const TinyFixture f = TinyFixture::Make(config);
+  auto model = f.MakeModel(config);
+  const StaticAggRecommender average(model.get(), ScoreAggregation::kAverage);
+  const std::vector<data::UserId> members = {0, 1, 2};
+  const std::vector<data::ItemId> items = {3, 4};
+  const auto scores = average.ScoreItemsForMembers(members, items);
+  const auto per_member = model->inference().MemberItemScores(members, items);
+  for (size_t i = 0; i < items.size(); ++i) {
+    const double expected =
+        (per_member[0][i] + per_member[1][i] + per_member[2][i]) / 3.0;
+    EXPECT_NEAR(scores[i], expected, 1e-9);
+  }
+}
+
+TEST(StaticAggRecommenderTest, SingleMemberEqualsUserScores) {
+  const core::GroupSaConfig config = SmallConfig();
+  const TinyFixture f = TinyFixture::Make(config);
+  auto model = f.MakeModel(config);
+  const StaticAggRecommender average(model.get(), ScoreAggregation::kAverage);
+  const std::vector<data::ItemId> items = {0, 1, 2};
+  const auto scores = average.ScoreItemsForMembers({5}, items);
+  const auto user_scores = model->inference().ScoreItemsForUser(5, items);
+  for (size_t i = 0; i < items.size(); ++i)
+    EXPECT_NEAR(scores[i], user_scores[i], 1e-9);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/inference_engine.h"
 #include "core/test_fixtures.h"
 
 namespace groupsa::core {
@@ -41,8 +42,8 @@ TEST(GroupSaModelTest, UserScoresDeterministicAtInference) {
   const TinyFixture f = TinyFixture::Make(config);
   auto model = f.MakeModel(config);
   const std::vector<data::ItemId> items = {0, 1, 2, 3};
-  const auto a = model->ScoreItemsForUser(3, items);
-  const auto b = model->ScoreItemsForUser(3, items);
+  const auto a = model->inference().ScoreItemsForUser(3, items);
+  const auto b = model->inference().ScoreItemsForUser(3, items);
   EXPECT_EQ(a, b);
 }
 
@@ -51,7 +52,7 @@ TEST(GroupSaModelTest, GroupScoresVaryAcrossItems) {
   const TinyFixture f = TinyFixture::Make(config);
   auto model = f.MakeModel(config);
   const std::vector<data::ItemId> items = {0, 1, 2, 3, 4};
-  const auto scores = model->ScoreItemsForGroup(0, items);
+  const auto scores = model->inference().ScoreItemsForGroup(0, items);
   bool any_diff = false;
   for (size_t i = 1; i < scores.size(); ++i)
     any_diff = any_diff || scores[i] != scores[0];
@@ -64,8 +65,9 @@ TEST(GroupSaModelTest, AdHocMemberListMatchesGroupTablePath) {
   auto model = f.MakeModel(config);
   const auto& members = f.world.dataset.groups.Members(2);
   const std::vector<data::ItemId> items = {1, 5, 9};
-  const auto via_group = model->ScoreItemsForGroup(2, items);
-  const auto via_members = model->ScoreItemsForMembers(members, items);
+  InferenceEngine& engine = model->inference();
+  const auto via_group = engine.ScoreItemsForGroup(2, items);
+  const auto via_members = engine.ScoreItemsForMembers(members, items);
   ASSERT_EQ(via_group.size(), via_members.size());
   for (size_t i = 0; i < via_group.size(); ++i)
     EXPECT_NEAR(via_group[i], via_members[i], 1e-6);
@@ -90,7 +92,7 @@ TEST(GroupSaModelTest, MemberItemScoresShape) {
   const GroupSaConfig config = FastConfig();
   const TinyFixture f = TinyFixture::Make(config);
   auto model = f.MakeModel(config);
-  const auto scores = model->MemberItemScores({1, 2, 3}, {0, 1});
+  const auto scores = model->inference().MemberItemScores({1, 2, 3}, {0, 1});
   ASSERT_EQ(scores.size(), 3u);
   EXPECT_EQ(scores[0].size(), 2u);
 }
@@ -109,7 +111,7 @@ TEST(GroupSaModelTest, RecommendForGroupExcludesObserved) {
     }
   }
   ASSERT_GE(group, 0);
-  const auto top = model->RecommendForGroup(group, 20, &all);
+  const auto top = model->inference().RecommendForGroup(group, 20, &all);
   EXPECT_EQ(top.size(), 20u);
   for (const auto& [item, score] : top) EXPECT_FALSE(all.Has(group, item));
   // Sorted descending.
@@ -121,7 +123,7 @@ TEST(GroupSaModelTest, RecommendForUserTopKOrdering) {
   const GroupSaConfig config = FastConfig();
   const TinyFixture f = TinyFixture::Make(config);
   auto model = f.MakeModel(config);
-  const auto top = model->RecommendForUser(0, 5, nullptr);
+  const auto top = model->inference().RecommendForUser(0, 5, nullptr);
   EXPECT_EQ(top.size(), 5u);
   for (size_t i = 1; i < top.size(); ++i)
     EXPECT_GE(top[i - 1].second, top[i].second);

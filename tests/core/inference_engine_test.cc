@@ -94,7 +94,7 @@ TEST(InferenceEngineTest, GroupScoresBitIdenticalToPerItemPath) {
     const auto items = Catalog(model->num_items());
     AtThreads([&] {
       for (data::GroupId g : {0, 3, 7}) {
-        const auto batched = model->ScoreItemsForGroup(g, items);
+        const auto batched = model->inference().ScoreItemsForGroup(g, items);
         const auto reference = model->ScoreItemsForGroupPerItem(g, items);
         EXPECT_EQ(batched, reference) << "group " << g;
       }
@@ -110,7 +110,7 @@ TEST(InferenceEngineTest, UserScoresBitIdenticalToPerItemPath) {
     const auto items = Catalog(model->num_items());
     AtThreads([&] {
       for (data::UserId u : {0, 5, 11}) {
-        const auto batched = model->ScoreItemsForUser(u, items);
+        const auto batched = model->inference().ScoreItemsForUser(u, items);
         const auto reference = model->ScoreItemsForUserPerItem(u, items);
         EXPECT_EQ(batched, reference) << "user " << u;
       }
@@ -125,9 +125,9 @@ TEST(InferenceEngineTest, MemberScoresBitIdenticalToPerItemPath) {
   const auto items = Catalog(model->num_items());
   const std::vector<data::UserId> members = {2, 9, 14};
   AtThreads([&] {
-    EXPECT_EQ(model->ScoreItemsForMembers(members, items),
+    EXPECT_EQ(model->inference().ScoreItemsForMembers(members, items),
               model->ScoreItemsForMembersPerItem(members, items));
-    const auto matrix = model->MemberItemScores(members, items);
+    const auto matrix = model->inference().MemberItemScores(members, items);
     ASSERT_EQ(matrix.size(), members.size());
     for (size_t m = 0; m < members.size(); ++m)
       EXPECT_EQ(matrix[m], model->ScoreItemsForUserPerItem(members[m], items));
@@ -152,7 +152,8 @@ TEST(InferenceEngineTest, ConcurrentScoringMatchesSerial) {
   std::vector<std::vector<double>> concurrent(num_groups);
   parallel::ParallelFor(0, num_groups, 1, [&](int64_t begin, int64_t end) {
     for (int64_t g = begin; g < end; ++g)
-      concurrent[g] = model->ScoreItemsForGroup(static_cast<int>(g), items);
+      concurrent[g] =
+          model->inference().ScoreItemsForGroup(static_cast<int>(g), items);
   });
   parallel::SetGlobalThreads(1);
   EXPECT_EQ(concurrent, serial);
@@ -166,7 +167,7 @@ TEST(InferenceEngineTest, CacheInvalidatedByOptimizerStep) {
   auto model = f.MakeModel(config);
   const auto items = Catalog(model->num_items());
 
-  const auto before = model->ScoreItemsForGroup(0, items);
+  const auto before = model->inference().ScoreItemsForGroup(0, items);
   EXPECT_GT(model->inference().cached_groups(), 0u);
   const uint64_t version_before = model->inference().params_version();
 
@@ -177,7 +178,7 @@ TEST(InferenceEngineTest, CacheInvalidatedByOptimizerStep) {
   trainer.RunGroupEpoch();
 
   EXPECT_GT(model->inference().params_version(), version_before);
-  const auto after = model->ScoreItemsForGroup(0, items);
+  const auto after = model->inference().ScoreItemsForGroup(0, items);
   // The stale cache must not survive: post-step scores reflect the new
   // parameters (bit-identical to the per-item path and to an engine built
   // fresh after the step) and differ from the pre-step scores.
@@ -186,9 +187,9 @@ TEST(InferenceEngineTest, CacheInvalidatedByOptimizerStep) {
   EXPECT_EQ(after, fresh.ScoreItemsForGroup(0, items));
   EXPECT_NE(after, before);
 
-  const auto user_before = model->ScoreItemsForUser(3, items);
+  const auto user_before = model->inference().ScoreItemsForUser(3, items);
   trainer.RunUserEpoch();
-  const auto user_after = model->ScoreItemsForUser(3, items);
+  const auto user_after = model->inference().ScoreItemsForUser(3, items);
   EXPECT_EQ(user_after, model->ScoreItemsForUserPerItem(3, items));
   EXPECT_NE(user_after, user_before);
 }
@@ -256,7 +257,7 @@ TEST(InferenceEngineTest, RecommendMatchesFullSortReference) {
             });
   reference.resize(k);
 
-  EXPECT_EQ(model->RecommendForGroup(2, k, nullptr), reference);
+  EXPECT_EQ(model->inference().RecommendForGroup(2, k, nullptr), reference);
 }
 
 TEST(InferenceEngineTest, RecommendRespectsExcludeMatrix) {
@@ -264,10 +265,10 @@ TEST(InferenceEngineTest, RecommendRespectsExcludeMatrix) {
   const TinyFixture f = TinyFixture::Make(config);
   auto model = f.MakeModel(config);
 
-  const auto top = model->RecommendForGroup(1, 20, &f.gi_train);
+  const auto top = model->inference().RecommendForGroup(1, 20, &f.gi_train);
   for (const auto& [item, score] : top) EXPECT_FALSE(f.gi_train.Has(1, item));
 
-  const auto user_top = model->RecommendForUser(4, 20, &f.ui_train);
+  const auto user_top = model->inference().RecommendForUser(4, 20, &f.ui_train);
   for (const auto& [item, score] : user_top)
     EXPECT_FALSE(f.ui_train.Has(4, item));
 }
@@ -338,23 +339,19 @@ TEST_F(ServingStatusTest, InvalidIdsReturnDescriptiveErrors) {
   EXPECT_NE(s.message().find("k must be >= 1"), std::string::npos);
 }
 
-TEST_F(ServingStatusTest, FastRecommenderValidatesMembers) {
-  // FastGroupRecommender's member-average queries share the engine's one
-  // validation boundary.
-  EXPECT_TRUE(
-      engine_.ValidateRequest(QueryKind::kMemberAverage, {0, 1}, 4).ok());
+TEST_F(ServingStatusTest, MemberListsAreValidated) {
+  EXPECT_TRUE(engine_.ValidateRequest(QueryKind::kMembers, {0, 1}, 4).ok());
 
-  Status s = engine_.ValidateRequest(QueryKind::kMemberAverage, {0, -1}, 4);
+  Status s = engine_.ValidateRequest(QueryKind::kMembers, {0, -1}, 4);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("out of range"), std::string::npos);
 
-  s = engine_.ValidateRequest(QueryKind::kMemberAverage, {3, 1, 3}, 4);
+  s = engine_.ValidateRequest(QueryKind::kMembers, {3, 1, 3}, 4);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.message(), "duplicate member id 3");
 
-  EXPECT_FALSE(engine_.ValidateRequest(QueryKind::kMemberAverage, {}, 4).ok());
-  EXPECT_FALSE(
-      engine_.ValidateRequest(QueryKind::kMemberAverage, {0}, -2).ok());
+  EXPECT_FALSE(engine_.ValidateRequest(QueryKind::kMembers, {}, 4).ok());
+  EXPECT_FALSE(engine_.ValidateRequest(QueryKind::kMembers, {0}, -2).ok());
 }
 
 }  // namespace

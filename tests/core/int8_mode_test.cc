@@ -2,8 +2,7 @@
 // exact FP32 re-rank against the exact path (HR@10 / NDCG@10 within 1%),
 // the >= 3.5x representation-cache memory gate, value-version invalidation
 // of the quantized tables after real optimizer steps, composition with
-// TopKMode::kIvf, determinism across thread counts, and the
-// FastGroupRecommender int8 scan.
+// TopKMode::kIvf and determinism across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/fast_recommender.h"
 #include "core/inference_engine.h"
 #include "core/item_index.h"
 #include "core/test_fixtures.h"
@@ -311,32 +309,6 @@ TEST(Int8ModeTest, ComposesWithIvfFullProbeIdentically) {
   for (const auto& [item, score] : engine.RecommendForUser(3, 10, nullptr))
     hit += want.count(item) ? 1 : 0;
   EXPECT_GE(hit, 7);
-}
-
-TEST(Int8ModeTest, FastRecommenderInt8MatchesExactScanClosely) {
-  const GroupSaConfig config = SmallConfig();
-  World w(config);
-  FastGroupRecommender fast(w.model.get());
-  const std::vector<data::UserId> members{1, 4, 9};
-
-  const auto exact = fast.RecommendForMembers(members, 10, nullptr);
-  fast.set_score_mode(ScoreMode::kInt8);
-  const auto quant = fast.RecommendForMembers(members, 10, nullptr);
-  ASSERT_EQ(quant.size(), 10u);
-  std::set<data::ItemId> want;
-  for (const auto& [item, score] : exact) want.insert(item);
-  int hit = 0;
-  for (const auto& [item, score] : quant) hit += want.count(item) ? 1 : 0;
-  EXPECT_GE(hit, 8);
-
-  // int8 + IVF full probe == int8 over the catalog, bit for bit.
-  InferenceEngine& engine = w.model->inference();
-  ItemIndexConfig index_config;
-  index_config.nlist = 12;
-  index_config.nprobe = 12;
-  engine.set_index_config(index_config);
-  fast.set_topk_mode(TopKMode::kIvf);
-  EXPECT_TRUE(SameList(quant, fast.RecommendForMembers(members, 10, nullptr)));
 }
 
 }  // namespace

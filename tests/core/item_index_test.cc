@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/inference_engine.h"
-#include "core/fast_recommender.h"
 #include "core/test_fixtures.h"
 #include "core/topk.h"
 #include "core/trainer.h"
@@ -310,20 +309,6 @@ TEST(ItemIndexRaceTest, IvfFullProbeBitIdenticalToExactTopK) {
           exact_members));
     });
   }
-}
-
-TEST(ItemIndexTest, FastRecommenderFullProbeBitIdenticalToExact) {
-  const GroupSaConfig config = SmallConfig();
-  const TinyFixture f = TinyFixture::Make(config);
-  auto model = f.MakeModel(config);
-  model->inference().set_index_config(FullProbeConfig(8));
-  FastGroupRecommender fast(model.get());
-
-  const std::vector<data::UserId> members = {2, 6, 10};
-  const auto exact = fast.RecommendForMembers(members, 10, &f.ui_train);
-  fast.set_topk_mode(TopKMode::kIvf);
-  EXPECT_TRUE(SameBits(fast.RecommendForMembers(members, 10, &f.ui_train),
-                       exact));
 }
 
 TEST(ItemIndexTest, IndexInvalidatedByOptimizerStep) {

@@ -79,8 +79,7 @@ TEST(QuantizedTest, RoundTripErrorBoundedByHalfScale) {
   Rng rng(99);
   m.FillGaussian(&rng, 0.0f, 2.0f);
   const QuantizedRows q = QuantizeRows(m);
-  tensor::Matrix back;
-  q.DequantizeInto(&back);
+  const tensor::Matrix back = q.Dequantize();
   for (int r = 0; r < m.rows(); ++r) {
     const float bound = 0.5f * q.scale(r) * (1.0f + 1e-5f);
     for (int j = 0; j < m.cols(); ++j) {

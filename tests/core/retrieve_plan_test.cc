@@ -5,11 +5,12 @@
 // entries. Race-labelled so the TSan lane covers the rep cache and
 // the IVF / quantized state builds under the thread pool.
 //
-// Query kinds: a user rep, a cached group's voting-stack rep, an ad-hoc
-// member list's voting-stack rep, and the Sec. II-F member average
-// (FastGroupRecommender). Plans: exact, IVF (16 lists, 4 probed), int8 and
-// IVF + int8. The int8 re-rank keeps 32 survivors, so the shortlist stage
-// cuts the candidate set under both int8 plans.
+// Query kinds: a user rep, a cached group's voting-stack rep and an ad-hoc
+// member list's voting-stack rep. Plans: exact, IVF (16 lists, 4 probed),
+// int8 and IVF + int8. The int8 re-rank keeps 32 survivors, so the shortlist
+// stage cuts the candidate set under both int8 plans. The Sec. II-F fast
+// path, Group+avg, scores outside the pipeline; its exact top-10 is pinned
+// too.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "baselines/static_agg.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/fast_recommender.h"
 #include "core/inference_engine.h"
 #include "core/item_index.h"
 #include "core/topk.h"
@@ -107,13 +107,12 @@ struct World {
 };
 
 constexpr QueryKind kKinds[] = {QueryKind::kUser, QueryKind::kGroup,
-                                QueryKind::kMembers, QueryKind::kMemberAverage};
+                                QueryKind::kMembers};
 const char* KindName(QueryKind kind) {
   switch (kind) {
     case QueryKind::kUser: return "user";
     case QueryKind::kGroup: return "group";
     case QueryKind::kMembers: return "members";
-    case QueryKind::kMemberAverage: return "member average";
   }
   return "?";
 }
@@ -130,15 +129,12 @@ constexpr Plan kPlans[] = {
     {"ivf+int8", TopKMode::kIvf, ScoreMode::kInt8},
 };
 
-// Sets `plan` on both the engine and the fast recommender, then answers
-// one top-10 request of `kind` with train interactions excluded.
-Ranking Answer(World& w, FastGroupRecommender& fast, QueryKind kind,
-               const Plan& plan) {
+// Sets `plan` on the engine, then answers one top-10 request of `kind` with
+// train interactions excluded.
+Ranking Answer(World& w, QueryKind kind, const Plan& plan) {
   InferenceEngine& engine = w.model->inference();
   engine.set_topk_mode(plan.topk);
   engine.set_score_mode(plan.score);
-  fast.set_topk_mode(plan.topk);
-  fast.set_score_mode(plan.score);
   const std::vector<data::UserId> members = {1, 4, 9};
   switch (kind) {
     case QueryKind::kUser:
@@ -147,8 +143,6 @@ Ranking Answer(World& w, FastGroupRecommender& fast, QueryKind kind,
       return engine.RecommendForGroup(4, 10, &w.gi_train);
     case QueryKind::kMembers:
       return engine.RecommendForMembers(members, 10, &w.ui_train);
-    case QueryKind::kMemberAverage:
-      return fast.RecommendForMembers(members, 10, &w.ui_train);
   }
   return {};
 }
@@ -206,7 +200,7 @@ bool SameBits(const Ranking& a, const Ranking& b) {
 
 // Pinned top-10 digests, one row per config in Configs() order; within a
 // row, kinds in kKinds order and plans in kPlans order.
-constexpr uint64_t kPinned[5][4][4] = {
+constexpr uint64_t kPinned[5][3][4] = {
     // full
     {
         {0x1b65a951c9adbeedULL, 0x1b65a951c9adbeedULL,
@@ -215,8 +209,6 @@ constexpr uint64_t kPinned[5][4][4] = {
          0xe9a080adf0a7291cULL, 0x28f42f50a17a132bULL},
         {0x9a0cbd2d934e9e39ULL, 0x9a0cbd2d934e9e39ULL,
          0x58f41209c3e2def3ULL, 0x9014e24b3975ee0bULL},
-        {0x6dc698b9d7c91836ULL, 0x01851af3261913feULL,
-         0x9395b432495f6a1bULL, 0x32fd1d90edc27736ULL},
     },
     // group-a
     {
@@ -226,8 +218,6 @@ constexpr uint64_t kPinned[5][4][4] = {
          0x649eacb96d386cf3ULL, 0x851353732c31ef85ULL},
         {0x39bf03c9c161c648ULL, 0x68fb389bd9a9a36eULL,
          0xe11d1e23f365d0c5ULL, 0x3b9080c14498027fULL},
-        {0xec374a16bc215042ULL, 0x7a52df8cf1d2307cULL,
-         0xa693e424ce08f440ULL, 0xdd4d0cd8f5fda29bULL},
     },
     // group-i
     {
@@ -237,8 +227,6 @@ constexpr uint64_t kPinned[5][4][4] = {
          0xb89d9562195d515aULL, 0xef600e19907e8227ULL},
         {0x73fe1d84b628872cULL, 0x6cc9bf5c49523cf2ULL,
          0xb1207c85d0ddf972ULL, 0x7864ef7f1778a4b6ULL},
-        {0x0627b63f504115d2ULL, 0x00d0e083e056dad5ULL,
-         0xa8174bd9f85f369aULL, 0xb0bb62dec875dcfeULL},
     },
     // untied
     {
@@ -248,8 +236,6 @@ constexpr uint64_t kPinned[5][4][4] = {
          0x9ae9f12787685153ULL, 0xe3e856f32ee29994ULL},
         {0x496495a73a7e8f8cULL, 0xaf9a2983cdcbdf79ULL,
          0xedbe13f01b0a6791ULL, 0xbbe59266d5689e6aULL},
-        {0x83c16c48f2a86a73ULL, 0x19318da52244d5b8ULL,
-         0x77b7e73bdd4a2f49ULL, 0x034847509da0de6bULL},
     },
     // wide attention
     {
@@ -259,8 +245,6 @@ constexpr uint64_t kPinned[5][4][4] = {
          0x413c1744875fd640ULL, 0xaf0aeb8b043a11cfULL},
         {0x14f4eea45bc7e3c8ULL, 0xdf27897fbd84deb8ULL,
          0x6837e938e8471a58ULL, 0xfe0e50b25d4a1d36ULL},
-        {0x1845172a023db7e5ULL, 0x2edda461141b5914ULL,
-         0x262f28effa2470c2ULL, 0xa61a736faa30cad5ULL},
     },
 };
 
@@ -270,13 +254,12 @@ TEST(RetrievePlanTest, TopTenBitsArePinned) {
     SCOPED_TRACE(configs[c].name);
     World w(configs[c].config);
     Prepare(w);
-    FastGroupRecommender fast(w.model.get());
     AtThreads(w, [&] {
-      for (size_t k = 0; k < 4; ++k) {
+      for (size_t k = 0; k < 3; ++k) {
         for (size_t p = 0; p < 4; ++p) {
           SCOPED_TRACE(::testing::Message()
                        << KindName(kKinds[k]) << " / " << kPlans[p].name);
-          const Ranking top = Answer(w, fast, kKinds[k], kPlans[p]);
+          const Ranking top = Answer(w, kKinds[k], kPlans[p]);
           ASSERT_EQ(top.size(), 10u);
           const uint64_t digest = Digest(top);
           EXPECT_EQ(digest, kPinned[c][k][p])
@@ -320,12 +303,11 @@ TEST(RetrievePlanTest, EveryPlanAnswersWithAtMostKEntries) {
   // shortlist holds 10 entries' storage, not one per candidate.
   World w(Configs()[0].config);
   Prepare(w);
-  FastGroupRecommender fast(w.model.get());
   for (QueryKind kind : kKinds) {
     for (const Plan& plan : kPlans) {
       SCOPED_TRACE(::testing::Message()
                    << KindName(kind) << " / " << plan.name);
-      const Ranking top = Answer(w, fast, kind, plan);
+      const Ranking top = Answer(w, kind, plan);
       ASSERT_EQ(top.size(), 10u);
       EXPECT_LE(top.capacity(), 10u);
     }
@@ -339,14 +321,13 @@ TEST(RetrievePlanTest, FullProbeIsIdenticalToTheCatalogPlan) {
     World w(nc.config);
     Prepare(w);
     w.model->inference().set_index_config(IndexConfig(16));
-    FastGroupRecommender fast(w.model.get());
     AtThreads(w, [&] {
       for (QueryKind kind : kKinds) {
         SCOPED_TRACE(KindName(kind));
         // kPlans[1] / [3] are the IVF twins of the catalog plans [0] / [2].
         for (size_t p : {0, 2}) {
-          const Ranking catalog = Answer(w, fast, kind, kPlans[p]);
-          const Ranking probed = Answer(w, fast, kind, kPlans[p + 1]);
+          const Ranking catalog = Answer(w, kind, kPlans[p]);
+          const Ranking probed = Answer(w, kind, kPlans[p + 1]);
           ASSERT_EQ(catalog.size(), 10u);
           EXPECT_TRUE(SameBits(catalog, probed)) << kPlans[p + 1].name;
         }

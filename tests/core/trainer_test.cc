@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/inference_engine.h"
 #include "core/test_fixtures.h"
 #include "data/tfidf.h"
 
@@ -101,9 +102,8 @@ TEST(TrainerTest, TrainingImprovesGroupRankingOverInit) {
     double margin = 0.0;
     int count = 0;
     for (const data::Edge& e : f.gi.train) {
-      const auto scores =
-          model->ScoreItemsForGroup(e.row, {e.item, (e.item + 7) % 90,
-                                            (e.item + 31) % 90});
+      const auto scores = model->inference().ScoreItemsForGroup(
+          e.row, {e.item, (e.item + 7) % 90, (e.item + 31) % 90});
       margin += scores[0] - (scores[1] + scores[2]) / 2.0;
       ++count;
       if (count >= 30) break;

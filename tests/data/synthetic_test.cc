@@ -117,7 +117,9 @@ TEST(SyntheticWorldTest, ExpertiseBoostOnPrimaryTopicOnly) {
     const int z = world.user_topic[u];
     EXPECT_GE(world.user_expertise.At(u, z), 0.8f);
     for (int k = 0; k < world.config.num_topics; ++k) {
-      if (k != z) EXPECT_LE(world.user_expertise.At(u, k), 0.2f);
+      if (k != z) {
+        EXPECT_LE(world.user_expertise.At(u, k), 0.2f);
+      }
     }
   }
 }

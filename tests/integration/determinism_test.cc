@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "core/inference_engine.h"
 #include "core/test_fixtures.h"
 #include "core/trainer.h"
 #include "eval/evaluator.h"
@@ -64,7 +65,7 @@ RunOutcome TrainAndEvaluate(int threads) {
   outcome.group_eval = eval::EvaluateRanking(
       cases,
       [&](int32_t g, const std::vector<data::ItemId>& items) {
-        return model->ScoreItemsForGroup(g, items);
+        return model->inference().ScoreItemsForGroup(g, items);
       },
       {5, 10});
   parallel::SetGlobalThreads(1);
@@ -115,7 +116,7 @@ TEST(DeterminismTest, EvaluationIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(cases.empty());
   const eval::Scorer scorer = [&](int32_t g,
                                   const std::vector<data::ItemId>& items) {
-    return model->ScoreItemsForGroup(g, items);
+    return model->inference().ScoreItemsForGroup(g, items);
   };
 
   parallel::SetGlobalThreads(1);
@@ -147,7 +148,7 @@ TEST(DeterminismTest, FilteredEvaluationIdenticalAcrossThreadCounts) {
                                              /*num_candidates=*/20, &eval_rng);
   const eval::Scorer scorer = [&](int32_t g,
                                   const std::vector<data::ItemId>& items) {
-    return model->ScoreItemsForGroup(g, items);
+    return model->inference().ScoreItemsForGroup(g, items);
   };
   const auto keep = [](int32_t g) { return g % 2 == 0; };
 

@@ -7,7 +7,7 @@
 
 #include "baselines/popularity.h"
 #include "baselines/static_agg.h"
-#include "core/fast_recommender.h"
+#include "core/inference_engine.h"
 #include "nn/checkpoint.h"
 #include "pipeline/experiment.h"
 
@@ -102,11 +102,12 @@ TEST_F(EndToEndTest, StaticAggregatorsProduceReasonableScores) {
 }
 
 TEST_F(EndToEndTest, FastRecommenderCorrelatesWithFullPath) {
-  core::FastGroupRecommender fast(model_);
+  const baselines::StaticAggRecommender fast(
+      model_, baselines::ScoreAggregation::kAverage);
   const auto& members = data_->world.dataset.groups.Members(0);
   std::vector<data::ItemId> items;
   for (int v = 0; v < 60; ++v) items.push_back(v);
-  const auto full = model_->ScoreItemsForGroup(0, items);
+  const auto full = model_->inference().ScoreItemsForGroup(0, items);
   const auto quick = fast.ScoreItemsForMembers(members, items);
   // Rank correlation proxy: the top-scoring item of the fast path should be
   // in the upper half of the full ranking.
@@ -128,16 +129,17 @@ TEST_F(EndToEndTest, CheckpointRoundTripPreservesScores) {
                               data_->num_items(), *model_data_, &rng);
   ASSERT_TRUE(nn::LoadParameters(restored.Parameters(), path).ok());
   const std::vector<data::ItemId> items = {0, 3, 7, 11};
-  EXPECT_EQ(model_->ScoreItemsForUser(5, items),
-            restored.ScoreItemsForUser(5, items));
-  EXPECT_EQ(model_->ScoreItemsForGroup(2, items),
-            restored.ScoreItemsForGroup(2, items));
+  EXPECT_EQ(model_->inference().ScoreItemsForUser(5, items),
+            restored.inference().ScoreItemsForUser(5, items));
+  EXPECT_EQ(model_->inference().ScoreItemsForGroup(2, items),
+            restored.inference().ScoreItemsForGroup(2, items));
 }
 
 TEST_F(EndToEndTest, ColdGroupScoringWorksForUnseenMemberCombos) {
   // The OGR promise: a brand-new ad-hoc group can be scored directly.
   const std::vector<data::UserId> ad_hoc = {3, 77, 141};
-  const auto scores = model_->ScoreItemsForMembers(ad_hoc, {0, 1, 2, 3});
+  const auto scores =
+      model_->inference().ScoreItemsForMembers(ad_hoc, {0, 1, 2, 3});
   EXPECT_EQ(scores.size(), 4u);
   for (double s : scores) EXPECT_TRUE(std::isfinite(s));
 }

@@ -7,8 +7,6 @@
 namespace groupsa::nn {
 namespace {
 
-using tensor::Matrix;
-
 TEST(EmbeddingTest, LookupReturnsTableRow) {
   Rng rng(1);
   Embedding emb("e", 5, 3, &rng);
@@ -64,14 +62,6 @@ TEST(EmbeddingTest, GradientScattersIntoTouchedRows) {
   EXPECT_FLOAT_EQ(grad.slot(static_cast<size_t>(grad.Find(3)))[0], 1.0f);
   // The table itself never gets a dense gradient.
   EXPECT_FALSE(emb.table()->has_grad());
-}
-
-TEST(EmbeddingTest, SetTableOverwritesValues) {
-  Rng rng(5);
-  Embedding emb("e", 2, 2, &rng);
-  Matrix values = Matrix::FromRows({{1, 2}, {3, 4}});
-  emb.SetTable(values);
-  EXPECT_TRUE(AllClose(emb.Row(1), Matrix::FromRows({{3, 4}})));
 }
 
 TEST(EmbeddingTest, GlorotInitialized) {

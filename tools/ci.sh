@@ -550,8 +550,7 @@ lane_index() {
   # nearest-centroid step runs that backend's per-ISA kernel.
   #  - Exact parity: with nprobe = nlist the candidate set is the whole
   #    catalog and every IVF answer must be 0-ULP identical to
-  #    TopKMode::kExact, through the engine, the fast recommender, and
-  #    across thread counts.
+  #    TopKMode::kExact, for every query kind and across thread counts.
   #  - RetrievePlanTest: the pinned top-10 digests of every config x query
   #    kind x plan cell of the retrieval pipeline.
   #  - Bit gate: fixed builds (1, 17, 40, 256 lists and the size rule at

@@ -176,13 +176,13 @@ int CmdEvaluate(const Flags& flags) {
   const eval::EvalResult user = eval::EvaluateRanking(
       user_cases,
       [&](int32_t u, const std::vector<data::ItemId>& items) {
-        return model.ScoreItemsForUser(u, items);
+        return model.inference().ScoreItemsForUser(u, items);
       },
       {5, 10});
   const eval::EvalResult group = eval::EvaluateRanking(
       group_cases,
       [&](int32_t g, const std::vector<data::ItemId>& items) {
-        return model.ScoreItemsForGroup(g, items);
+        return model.inference().ScoreItemsForGroup(g, items);
       },
       {5, 10});
   std::printf("user task:  %s\ngroup task: %s\n", user.ToString().c_str(),
