@@ -1,6 +1,10 @@
 #include "data/synthetic.h"
 
+#include <span>
+
 #include <gtest/gtest.h>
+
+#include "data/tfidf.h"
 
 namespace groupsa::data {
 namespace {
@@ -161,7 +165,7 @@ template <typename RowFn>
 uint64_t RowsDigest(int num_rows, const RowFn& row) {
   uint64_t h = kFnvBasis;
   for (int r = 0; r < num_rows; ++r) {
-    const std::vector<UserId>& ids = row(r);
+    const std::span<const UserId> ids = row(r);
     const uint64_t n = ids.size();
     h = Fnv1a(&n, sizeof(n), h);
     h = Fnv1a(ids.data(), ids.size() * sizeof(UserId), h);
@@ -254,6 +258,69 @@ TEST(SyntheticWorldTest, WorldBitsArePinned) {
     EXPECT_EQ(social, pin.social) << std::hex << "0x" << social;
     EXPECT_EQ(members, pin.members) << std::hex << "0x" << members;
     EXPECT_EQ(truth, pin.truth) << std::hex << "0x" << truth;
+  }
+}
+
+// Rows, column degrees and interaction count of an interaction matrix.
+uint64_t InteractionDigest(const InteractionMatrix& m) {
+  uint64_t h = RowsDigest(
+      m.num_rows(), [&](int r) -> decltype(auto) { return m.Row(r); });
+  std::vector<int> col_degree(static_cast<size_t>(m.num_cols()));
+  for (int c = 0; c < m.num_cols(); ++c) col_degree[c] = m.ColDegree(c);
+  h = VectorDigest(col_degree, h);
+  const int64_t interactions = m.num_interactions();
+  return Fnv1a(&interactions, sizeof(interactions), h);
+}
+
+uint64_t TopHDigest(const IdLists& lists) {
+  return RowsDigest(lists.num_rows(), [&](int r) { return lists[r]; });
+}
+
+// Pins the tables the model reads, derived from the worlds pinned above:
+// both interaction matrices and the TF-IDF Top-H lists at H = 4. Social
+// rows are pinned above. A change to how these tables are stored must
+// reproduce these bits.
+TEST(SyntheticWorldTest, DerivedTablesArePinned) {
+  struct Pin {
+    const char* name;
+    SyntheticWorldConfig config;
+    uint64_t user_item, group_item, top_items, top_friends;
+  };
+  auto shape = [](int items, int users, int groups) {
+    SyntheticWorldConfig c;
+    c.num_items = items;
+    c.num_users = users;
+    c.num_groups = groups;
+    return c;
+  };
+  const Pin pins[] = {
+      {"Tiny", SyntheticWorldConfig::Tiny(), 0x6e049f9fb584dd50ULL,
+       0xe782972d6b28becbULL, 0x669364098adbb122ULL, 0x2fa52422dd572d23ULL},
+      {"YelpLike", SyntheticWorldConfig::YelpLike(), 0x1739686b4c0b746eULL,
+       0x5d63a4ca4ab9e213ULL, 0xf9aa96616190b13eULL, 0x1e24113dd3d29af6ULL},
+      {"DoubanEventLike", SyntheticWorldConfig::DoubanEventLike(),
+       0xcd9bb98cdf9c01efULL, 0xc0322321aa0dfb8cULL, 0xd703216d5c2c45ddULL,
+       0x16fb88ad54d2b6d8ULL},
+      {"2000x400x100", shape(2000, 400, 100), 0xebc74a3c506fd0e0ULL,
+       0x9c9b03b20d679be3ULL, 0xa78633d611fb2ddeULL, 0xb036bab5ce811ac1ULL},
+      {"100000x200x100", shape(100000, 200, 100), 0x3fc699be717fc228ULL,
+       0x401120445d9cee04ULL, 0x7d1f0b6964d215c0ULL, 0x400f582acd646090ULL},
+      {"5000x50000x100", shape(5000, 50000, 100), 0x28f8c1fc1af65d69ULL,
+       0xae06c2c95bd36fa7ULL, 0xf7110b347ad19af0ULL, 0x609601ed6cad04a4ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const Dataset d = GenerateWorld(pin.config).dataset;
+    const InteractionMatrix ui = d.UserItemMatrix();
+    const uint64_t user_item = InteractionDigest(ui);
+    const uint64_t group_item = InteractionDigest(d.GroupItemMatrix());
+    const uint64_t top_items = TopHDigest(TopItemsPerUser(ui, 4));
+    const uint64_t top_friends = TopHDigest(TopFriendsPerUser(d.social, 4));
+    EXPECT_EQ(user_item, pin.user_item) << std::hex << "0x" << user_item;
+    EXPECT_EQ(group_item, pin.group_item) << std::hex << "0x" << group_item;
+    EXPECT_EQ(top_items, pin.top_items) << std::hex << "0x" << top_items;
+    EXPECT_EQ(top_friends, pin.top_friends)
+        << std::hex << "0x" << top_friends;
   }
 }
 
