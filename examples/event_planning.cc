@@ -5,6 +5,7 @@
 // social ties do.
 
 #include <cstdio>
+#include <span>
 
 #include "core/inference_engine.h"
 #include "pipeline/experiment.h"
@@ -38,7 +39,8 @@ int main(int argc, char** argv) {
   int built = 0;
   for (data::UserId seed_user = 0;
        seed_user < data.num_users() && built < 3; ++seed_user) {
-    const auto& friends = social.Neighbors(seed_user);
+    const std::span<const data::UserId> friends =
+        social.Neighbors(seed_user);
     if (friends.size() < 3) continue;
     std::vector<data::UserId> members = {seed_user, friends[0], friends[1],
                                          friends[2]};

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "analysis/graph_lint.h"
@@ -313,7 +314,7 @@ Trainer::EpochStats Trainer::RunSocialEpoch() {
   const int num_users = model_->num_users();
   std::vector<std::pair<data::UserId, data::UserId>> edges;
   for (data::UserId u = 0; u < num_users; ++u) {
-    const std::vector<data::UserId>& friends = social.Neighbors(u);
+    const std::span<const data::UserId> friends = social.Neighbors(u);
     for (data::UserId v : friends) {
       if (u < v) edges.emplace_back(u, v);
     }

@@ -1,15 +1,17 @@
 #ifndef GROUPSA_DATA_INTERACTION_MATRIX_H_
 #define GROUPSA_DATA_INTERACTION_MATRIX_H_
 
+#include <span>
 #include <vector>
 
+#include "data/id_lists.h"
 #include "data/types.h"
 
 namespace groupsa::data {
 
-// Sparse binary interaction matrix in adjacency-list form (rows -> sorted,
-// deduplicated item lists), the R^U and R^G of the paper. Immutable after
-// construction.
+// Sparse binary interaction matrix in CSR form (rows -> sorted, deduplicated
+// item lists in one flat IdLists), the R^U and R^G of the paper. Immutable
+// after construction; copies share the rows.
 class InteractionMatrix {
  public:
   InteractionMatrix() = default;
@@ -21,7 +23,7 @@ class InteractionMatrix {
   int64_t num_interactions() const { return num_interactions_; }
 
   // Sorted unique items of `row`.
-  const std::vector<ItemId>& Row(int row) const;
+  std::span<const ItemId> Row(int row) const;
 
   // True when (row, item) is observed. O(log degree).
   bool Has(int row, ItemId item) const;
@@ -39,7 +41,7 @@ class InteractionMatrix {
   int num_rows_ = 0;
   int num_cols_ = 0;
   int64_t num_interactions_ = 0;
-  std::vector<std::vector<ItemId>> rows_;
+  IdLists rows_;
   std::vector<int> col_degree_;
 };
 

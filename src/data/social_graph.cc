@@ -10,30 +10,27 @@ namespace groupsa::data {
 SocialGraph::SocialGraph(int num_users,
                          const std::vector<std::pair<UserId, UserId>>& edges)
     : num_users_(num_users) {
-  adjacency_.resize(num_users);
   for (const auto& [a, b] : edges) {
     GROUPSA_CHECK(a >= 0 && a < num_users && b >= 0 && b < num_users,
                   "social edge endpoint out of range");
-    if (a == b) continue;
-    adjacency_[a].push_back(b);
-    adjacency_[b].push_back(a);
   }
-  for (auto& neighbors : adjacency_) {
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-    num_edges_ += static_cast<int64_t>(neighbors.size());
-  }
-  num_edges_ /= 2;
+  adjacency_ = IdLists::SortedUnique(num_users, [&](const auto& emit) {
+    for (const auto& [a, b] : edges) {
+      if (a == b) continue;
+      emit(a, b);
+      emit(b, a);
+    }
+  });
+  num_edges_ = static_cast<int64_t>(adjacency_.num_ids()) / 2;
 }
 
-const std::vector<UserId>& SocialGraph::Neighbors(UserId user) const {
+std::span<const UserId> SocialGraph::Neighbors(UserId user) const {
   GROUPSA_CHECK(user >= 0 && user < num_users_, "user out of range");
   return adjacency_[user];
 }
 
 bool SocialGraph::Connected(UserId a, UserId b) const {
-  const auto& neighbors = Neighbors(a);
+  const std::span<const UserId> neighbors = Neighbors(a);
   return std::binary_search(neighbors.begin(), neighbors.end(), b);
 }
 
@@ -46,7 +43,7 @@ namespace {
 
 // Applies `fn` to every element of the (sorted) intersection of a and b.
 template <typename Fn>
-void ForEachCommon(const std::vector<UserId>& a, const std::vector<UserId>& b,
+void ForEachCommon(std::span<const UserId> a, std::span<const UserId> b,
                    Fn fn) {
   size_t i = 0;
   size_t j = 0;

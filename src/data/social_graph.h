@@ -1,15 +1,18 @@
 #ifndef GROUPSA_DATA_SOCIAL_GRAPH_H_
 #define GROUPSA_DATA_SOCIAL_GRAPH_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "data/id_lists.h"
 #include "data/types.h"
 
 namespace groupsa::data {
 
 // Undirected user-user social network, the R^S of the paper. Edges are
-// symmetrized and deduplicated at construction; self-loops are dropped.
+// symmetrized and deduplicated at construction; self-loops are dropped. The
+// sorted neighbour lists are one flat IdLists, shared by copies.
 class SocialGraph {
  public:
   SocialGraph() = default;
@@ -21,7 +24,7 @@ class SocialGraph {
   int64_t num_edges() const { return num_edges_; }
 
   // Sorted unique neighbor list of `user`.
-  const std::vector<UserId>& Neighbors(UserId user) const;
+  std::span<const UserId> Neighbors(UserId user) const;
 
   // True when a direct social connection exists (the f(i,j)=1 predicate of
   // Eq. 5).
@@ -48,7 +51,7 @@ class SocialGraph {
  private:
   int num_users_ = 0;
   int64_t num_edges_ = 0;
-  std::vector<std::vector<UserId>> adjacency_;
+  IdLists adjacency_;
 };
 
 }  // namespace groupsa::data

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -235,7 +236,7 @@ SyntheticWorld GenerateWorld(const SyntheticWorldConfig& config) {
       // member's topic community, then to uniform.
       const UserId anchor =
           members[rng.NextInt(static_cast<int>(members.size()))];
-      const auto& friends = social.Neighbors(anchor);
+      const std::span<const UserId> friends = social.Neighbors(anchor);
       UserId candidate;
       if (!friends.empty() && rng.NextBernoulli(config.group_social_bias)) {
         candidate = friends[rng.NextInt(static_cast<int>(friends.size()))];
@@ -370,6 +371,9 @@ SyntheticWorld GenerateWorld(const SyntheticWorldConfig& config) {
   world.dataset.name = config.name;
   world.dataset.num_users = config.num_users;
   world.dataset.num_items = config.num_items;
+  // The edges were appended one by one. The list lives as long as the
+  // dataset, so hand it over at exact size, not with its doubling slack.
+  user_item.shrink_to_fit();
   world.dataset.user_item = std::move(user_item);
   world.dataset.group_item = std::move(group_item);
   world.dataset.social = std::move(social);

@@ -21,7 +21,7 @@ IdLists TopByScore(int num_rows, int top_h, const RowFn& row,
   size_t total = 0;
   for (int r = 0; r < num_rows; ++r)
     total += std::min(keep_max, row(r).size());
-  IdLists out;
+  IdLists::Builder out;
   out.Reserve(static_cast<size_t>(num_rows), total);
   std::vector<std::pair<double, int32_t>> scored;
   std::vector<int32_t> kept;
@@ -38,7 +38,7 @@ IdLists TopByScore(int num_rows, int top_h, const RowFn& row,
     for (size_t i = 0; i < keep; ++i) kept.push_back(scored[i].second);
     out.AddRow(kept);
   }
-  return out;
+  return std::move(out).Build();
 }
 
 // idf = log(num_users / (1 + degree(id))) for every id < num_ids, each
@@ -57,7 +57,7 @@ std::vector<double> IdfTable(int num_users, int num_ids,
 
 IdLists TopItemsPerUser(const InteractionMatrix& ui, int top_h) {
   return TopByScore(
-      ui.num_rows(), top_h, [&](int u) -> const auto& { return ui.Row(u); },
+      ui.num_rows(), top_h, [&](int u) { return ui.Row(u); },
       IdfTable(ui.num_rows(), ui.num_cols(),
                [&](ItemId item) { return ui.ColDegree(item); }));
 }
@@ -65,7 +65,7 @@ IdLists TopItemsPerUser(const InteractionMatrix& ui, int top_h) {
 IdLists TopFriendsPerUser(const SocialGraph& graph, int top_h) {
   return TopByScore(
       graph.num_users(), top_h,
-      [&](UserId u) -> const auto& { return graph.Neighbors(u); },
+      [&](UserId u) { return graph.Neighbors(u); },
       IdfTable(graph.num_users(), graph.num_users(),
                [&](UserId friend_id) { return graph.Degree(friend_id); }));
 }

@@ -37,6 +37,28 @@ TEST(GroupSaModelTest, ConstructsAllVariants) {
   }
 }
 
+// A model copies ModelData by value, but the Top-H tables inside are
+// shared: every model built from one ModelData reads the caller's arrays.
+TEST(GroupSaModelTest, ModelsShareTheCallersTopHTables) {
+  const GroupSaConfig config = FastConfig();
+  const TinyFixture f = TinyFixture::Make(config);
+  auto a = f.MakeModel(config, 11);
+  auto b = f.MakeModel(config, 12);
+  const ModelData& md = f.model_data;
+  ASSERT_GT(md.top_items.num_rows(), 0);
+  ASSERT_GT(md.top_friends.num_rows(), 0);
+  for (const GroupSaModel* model : {a.get(), b.get()}) {
+    for (int u = 0; u < md.top_items.num_rows(); ++u) {
+      EXPECT_EQ(model->model_data().top_items[u].data(),
+                md.top_items[u].data())
+          << "user " << u;
+      EXPECT_EQ(model->model_data().top_friends[u].data(),
+                md.top_friends[u].data())
+          << "user " << u;
+    }
+  }
+}
+
 TEST(GroupSaModelTest, UserScoresDeterministicAtInference) {
   const GroupSaConfig config = FastConfig();
   const TinyFixture f = TinyFixture::Make(config);

@@ -244,10 +244,8 @@ TEST(SyntheticWorldTest, WorldBitsArePinned) {
     const Dataset& d = world.dataset;
     const uint64_t user_item = EdgesDigest(d.user_item);
     const uint64_t group_item = EdgesDigest(d.group_item);
-    const uint64_t social = RowsDigest(
-        d.num_users, [&](int u) -> const std::vector<UserId>& {
-          return d.social.Neighbors(u);
-        });
+    const uint64_t social =
+        RowsDigest(d.num_users, [&](int u) { return d.social.Neighbors(u); });
     const uint64_t members = RowsDigest(
         d.groups.num_groups(), [&](int g) -> const std::vector<UserId>& {
           return d.groups.Members(g);

@@ -27,9 +27,12 @@
 #   serve-golden  serve-mode golden gate (train -> checkpoint -> scripted
 #                 daemon run, byte-compared at 1x1 vs 4x4 workers/threads)
 #                 plus the crash-during-reload gate (SIGKILL mid-swap, restart
-#                 from the last good checkpoint), the bad-numeric-flag
-#                 gate (exit 1 naming the flag, never an abort, a wrapped
-#                 tick budget or a silently different seed), the
+#                 from the last good checkpoint), the failed-reload gate
+#                 (without --strict, a reload of a missing or torn
+#                 checkpoint fails and generation 1 keeps serving), the
+#                 bad-numeric-flag gate (exit 1 naming the flag, never an
+#                 abort, a wrapped tick budget or a silently different
+#                 seed), the
 #                 bad-script-number gate (reported, never served) and the
 #                 GROUPSA_THREADS gate (a malformed or out-of-range pool
 #                 width fails naming the variable)
@@ -52,10 +55,10 @@
 #   asan          fault-labelled tests, tensor-pool (with the trainer golden
 #                 and determinism suites), checkpoint, sparse-gradient
 #                 (grad-shard, row-grad, optimizer, embedding, graph-lint),
-#                 flat Top-H list, world generator (with the weighted-table
+#                 flat id table, world generator (with the weighted-table
 #                 suite), top-K selector and serving suites under ASan
-#   tsan          race-labelled tests (thread pool, trainer shards, serving
-#                 stress/soak) under TSan
+#   tsan          race-labelled tests (thread pool, trainer shards, shared
+#                 id tables, serving stress/soak) under TSan
 #   ubsan         full suite under UBSan with recovery disabled
 #   perfbench     the repo benchmark's own Release project (perfbench/, built
 #                 in .bench_build/perfbench like run.py builds it): its
@@ -537,6 +540,46 @@ EOF
     fi
   done < <(grep '^user 3 k=5 x=1' "${serve_dir}/restarted_run.txt")
   echo "crash-during-reload gate OK"
+
+  echo "=== failed-reload gate (a bad checkpoint never replaces a good one) ==="
+  # Without --strict only the first generation may degrade to popularity.
+  # A reload of a missing or a torn checkpoint fails instead: generation 1
+  # keeps answering as before, and the counters record two failed reloads
+  # and no swap.
+  head -c 3000 "${serve_dir}/model.ckpt" > "${serve_dir}/torn.ckpt"
+  cat > "${serve_dir}/failed_reload.txt" <<EOF
+user 3 5 x
+reload ${serve_dir}/missing.ckpt
+user 3 5 x
+reload ${serve_dir}/torn.ckpt
+user 3 5 x
+stats
+quit
+EOF
+  ./build/tools/groupsa_serve --data "${serve_dir}" \
+    --model "${serve_dir}/model.ckpt" \
+    --script "${serve_dir}/failed_reload.txt" \
+    > "${serve_dir}/failed_reload.out" 2>&1
+  local first_items answers=0
+  first_items="$(grep -m1 '^user 3 k=5 x=1' "${serve_dir}/failed_reload.out" |
+    sed 's/.*items=//')"
+  while IFS= read -r line; do
+    answers=$((answers + 1))
+    if [[ "${line}" != *" -> gen=1 deg=0 "* ]] ||
+        [ "${line##*items=}" != "${first_items}" ]; then
+      echo "FAIL: an answer moved after a failed reload: ${line}" >&2
+      exit 1
+    fi
+  done < <(grep '^user 3 k=5 x=1' "${serve_dir}/failed_reload.out")
+  if [ "${answers}" -ne 3 ] ||
+     [ "$(grep -c '^reload failed' "${serve_dir}/failed_reload.out")" -ne 2 ] ||
+     ! grep -q ' reloads=0 failed_reloads=2 ' \
+       "${serve_dir}/failed_reload.out"; then
+    echo "FAIL: failed reloads were not reported as failed" >&2
+    cat "${serve_dir}/failed_reload.out" >&2
+    exit 1
+  fi
+  echo "failed-reload gate OK"
 }
 
 lane_index() {
@@ -675,11 +718,14 @@ lane_asan() {
   # checks both offset schemes (no suite here carries a label above).
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'CheckpointTest|CheckpointCrashDeathTest|GradShardTest|RowGradTest|OptimizerTest|EmbeddingTest|GraphLintTest'
-  echo "=== asan ctest (flat Top-H lists) ==="
-  # TF-IDF Top-H rows are spans into one flat id array (data::IdLists),
-  # read by user modeling; ASan checks the row offsets (no label above).
+  echo "=== asan ctest (flat id tables) ==="
+  # Every data-layer id table (the interaction matrices, the social graph
+  # and the TF-IDF Top-H lists) is spans into one flat id array
+  # (data::IdLists), built by counting sort and shared by its copies, each
+  # model's Top-H tables included; ASan checks the row offsets and the
+  # shared storage's lifetime (no label above).
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'TfIdfTest|IdListsTest|UserModelingTest'
+    -R 'TfIdfTest|IdListsTest|UserModelingTest|InteractionMatrixTest|SocialGraphTest|ModelsShareTheCallersTopHTables'
   echo "=== asan ctest (world generator and weighted tables) ==="
   # The generator indexes a per-item stamp array, its echo buckets and each
   # topic's prefix table (common/rng's WeightedTable) by raw ids; ASan

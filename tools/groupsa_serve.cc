@@ -39,9 +39,11 @@
 // Responses print in request order with %.17g scores, so two runs of the
 // same script byte-compare equal at any --workers / --threads width — the
 // serve-mode golden gate in tools/ci.sh does exactly that. A missing or
-// corrupt checkpoint degrades the daemon to the popularity fallback
-// (--strict turns that into a startup failure); GROUPSA_FAILPOINTS arms
-// the serve.* fault-injection sites (e.g. serve.reload.swap=kill for the
+// corrupt checkpoint at start-up degrades the daemon to the popularity
+// fallback (--strict turns that into a startup failure). At a reload it
+// fails the reload: the old generation keeps serving, failed_reloads rises
+// and --reload-retries re-attempts it. GROUPSA_FAILPOINTS arms the serve.*
+// fault-injection sites (e.g. serve.reload.swap=kill for the
 // crash-during-reload gate).
 
 #include <climits>
@@ -222,16 +224,23 @@ int main(int argc, char** argv) {
   config.supervise = flags.count("no-supervise") == 0;
 
   // Each generation is a fresh model with the checkpoint's parameters. A
-  // load failure degrades to popularity-only serving unless --strict.
+  // load failure at start-up degrades to popularity-only serving unless
+  // --strict. A load failure at a reload fails the reload, so the serving
+  // generation stays. Start() and the (serialized) reloads call the factory
+  // one at a time, so `started` needs no lock.
+  bool started = false;
   serve::Server::ModelFactory factory =
-      [&ws, strict](const std::string& path,
-                    std::unique_ptr<core::GroupSaModel>* out) -> Status {
+      [&ws, strict, &started](
+          const std::string& path,
+          std::unique_ptr<core::GroupSaModel>* out) -> Status {
+    const bool first = !started;
+    started = true;
     Rng rng(ws.seed + 1);
     auto model = std::make_unique<core::GroupSaModel>(
         ws.config, ws.dataset.num_users, ws.dataset.num_items, ws.model_data,
         &rng);
     if (Status s = nn::LoadParameters(model->Parameters(), path); !s.ok()) {
-      if (strict) return s;
+      if (strict || !first) return s;
       std::fprintf(stderr, "warning: %s; serving popularity fallback\n",
                    s.message().c_str());
       out->reset();
